@@ -2,7 +2,10 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -263,5 +266,24 @@ func TestReplicaDrainFlushesResident(t *testing.T) {
 	// The HTTP plane must be down after drain.
 	if _, err := cl.Health(ctx); err == nil {
 		t.Fatal("healthz answered after drain")
+	}
+}
+
+// TestFleetRegisterRejectsLongID: an id past the store's length cap is
+// refused at registration as a bad request (no failover, no adoption),
+// while an id at the cap registers and serves.
+func TestFleetRegisterRejectsLongID(t *testing.T) {
+	_, c := startFleet(t, 2, Options{ProbeInterval: -1})
+	ctx := context.Background()
+	atCap := strings.Repeat("g", store.MaxIDLen)
+	if err := c.Register(ctx, atCap, testSpec(1)); err != nil {
+		t.Fatalf("register %d-byte id: %v", len(atCap), err)
+	}
+	if _, err := c.Query(ctx, flowd.QueryRequest{Graph: atCap, Op: "dist", U: 0, V: 35}); err != nil {
+		t.Fatalf("query %d-byte id: %v", len(atCap), err)
+	}
+	var ae *flowd.APIError
+	if err := c.Register(ctx, atCap+"g", testSpec(1)); !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
+		t.Fatalf("register %d-byte id: %v, want 400", len(atCap)+1, err)
 	}
 }

@@ -19,6 +19,7 @@ import (
 
 	"planarflow"
 	"planarflow/internal/obs"
+	"planarflow/internal/store"
 )
 
 // MaxBatchQueries caps the number of queries one batch request may carry:
@@ -100,8 +101,8 @@ func DecodeBatch(data []byte) (*BatchRequest, error) {
 	if dec.More() {
 		return nil, errors.New("flowd: bad batch: trailing data after JSON object")
 	}
-	if req.Graph == "" {
-		return nil, errors.New("flowd: bad batch: missing graph id")
+	if err := store.CheckID(req.Graph); err != nil {
+		return nil, fmt.Errorf("flowd: bad batch: %w", err)
 	}
 	if len(req.Queries) == 0 {
 		return nil, errors.New("flowd: bad batch: empty query list")
@@ -151,7 +152,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // runBatch executes one decoded batch against the store — the execution
-// shared by POST /v1/batch and the wire transport's OpBatch frames, so
+// shared by POST /v1/batch and the wire transport's OpBatchB frames, so
 // the two planes cannot drift.
 func (s *Server) runBatch(ctx context.Context, req *BatchRequest) (*BatchResponse, error) {
 	begin := time.Now()

@@ -207,7 +207,7 @@ func checkArgs(op string, u, v, source int, eps float64) error {
 	if u < 0 || v < 0 || source < 0 {
 		return fmt.Errorf("negative id (u=%d v=%d source=%d)", u, v, source)
 	}
-	if eps < 0 || eps >= 1 {
+	if !(eps >= 0 && eps < 1) { // also rejects NaN, which the binary codec can carry
 		return fmt.Errorf("eps=%v out of [0, 1)", eps)
 	}
 	return nil
@@ -228,8 +228,8 @@ func DecodeQuery(data []byte) (*QueryRequest, error) {
 	if dec.More() {
 		return nil, errors.New("flowd: bad query: trailing data after JSON object")
 	}
-	if req.Graph == "" {
-		return nil, errors.New("flowd: bad query: missing graph id")
+	if err := store.CheckID(req.Graph); err != nil {
+		return nil, fmt.Errorf("flowd: bad query: %w", err)
 	}
 	if err := checkArgs(req.Op, req.U, req.V, req.Source, req.Eps); err != nil {
 		return nil, fmt.Errorf("flowd: bad query: %s", err)
@@ -362,7 +362,7 @@ func statusOf(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, store.ErrGraphLimit):
 		return http.StatusTooManyRequests
-	case errors.Is(err, store.ErrSpillDisabled):
+	case errors.Is(err, store.ErrSpillDisabled), errors.Is(err, store.ErrBadID):
 		return http.StatusBadRequest
 	case errors.Is(err, planarflow.ErrVertexRange),
 		errors.Is(err, planarflow.ErrFaceRange),
@@ -405,10 +405,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "flowd: bad register: " + err.Error()})
-		return
-	}
-	if req.ID == "" {
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "flowd: bad register: missing id"})
 		return
 	}
 	gr, err := s.st.RegisterSpec(req.ID, req.Spec)

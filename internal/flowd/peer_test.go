@@ -2,11 +2,14 @@ package flowd
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"planarflow/internal/store"
+	"planarflow/internal/wire"
 )
 
 func peerSpec() store.GraphSpec {
@@ -72,6 +75,51 @@ func TestPeerSnapshotFetchAndRestore(t *testing.T) {
 	}
 }
 
+// TestGraphIDLengthLimit pins one id-length cap across every plane: an
+// id at store.MaxIDLen bytes registers and its snapshot streams to a peer, and
+// one byte more is refused as a bad request on HTTP register and on
+// queries over both HTTP and the wire — never accepted at registration
+// only to fail replication later.
+func TestGraphIDLengthLimit(t *testing.T) {
+	ctx := context.Background()
+	ca, sa, addr, _ := newWireDaemon(t, store.Config{}, "")
+	cb, _, baseB := newPeerDaemon(t, store.Config{})
+	wc := NewWireClient("tcp", addr, WireOptions{PoolSize: 1})
+	defer wc.Close()
+
+	atCap := strings.Repeat("a", store.MaxIDLen)
+	if _, err := cb.RegisterWarm(ctx, atCap, peerSpec()); err != nil {
+		t.Fatalf("register %d-byte id: %v", len(atCap), err)
+	}
+	snap, err := cb.FetchSnapshot(ctx, atCap)
+	if err != nil || len(snap) == 0 {
+		t.Fatalf("fetch snapshot of %d-byte id: %d bytes, %v", len(atCap), len(snap), err)
+	}
+	if _, err := ca.Register(ctx, atCap, peerSpec()); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ca.Restore(ctx, atCap, []string{baseB})
+	if err != nil || !resp.Restored || resp.Source != "peer" {
+		t.Fatalf("peer restore of %d-byte id: %+v, %v", len(atCap), resp, err)
+	}
+	if st := sa.st.Snapshot(); st.PeerRestores != 1 || st.Builds != 0 {
+		t.Fatalf("peer restore accounting: %+v", st)
+	}
+
+	over := atCap + "a"
+	var ae *APIError
+	if _, err := cb.Register(ctx, over, peerSpec()); !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
+		t.Fatalf("register %d-byte id: %v, want 400", len(over), err)
+	}
+	if _, err := ca.Query(ctx, QueryRequest{Graph: over, Op: "girth"}); !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
+		t.Fatalf("HTTP query with %d-byte id: %v, want 400", len(over), err)
+	}
+	var se *StatusError
+	if _, err := wc.Query(ctx, QueryRequest{Graph: over, Op: "girth"}); !errors.As(err, &se) || se.Status != wire.StatusBadRequest {
+		t.Fatalf("wire query with %d-byte id: %v, want StatusBadRequest", len(over), err)
+	}
+}
+
 // TestPeerRestoreTruncatedStreamFallsBack serves a snapshot stream cut
 // mid-transfer: the restore ladder must reject the rung — no partial
 // install, PeerRestores stays zero — and fall through to the next rung
@@ -92,10 +140,7 @@ func TestPeerRestoreTruncatedStreamFallsBack(t *testing.T) {
 	}
 
 	// A peer that 200s but cuts the stream partway through the data.
-	full, err := AppendSnapStream(nil, "g", snap)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := snapStream(t, "g", snap)
 	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Write(full[:len(full)/2])

@@ -1,13 +1,12 @@
 package flowd
 
 // The snapshot-stream codec: the framing that carries one graph's PFSNAP
-// snapshot between replicas — the body of GET /v1/snapshot/{graph} and
-// the payload of the wire's OpSnapB frames. The PFSNAP blob inside has
-// its own fingerprint/version/checksum envelope (internal/snapshot), so
-// this layer is pure transport integrity: it exists to make a truncated
-// or bit-flipped transfer *detectable at the stream level*, before the
-// receiver spends decode work, and to carry the graph id so a fetcher
-// can confirm it got the snapshot it asked for.
+// snapshot between replicas — the body of GET /v1/snapshot/{graph}. The
+// PFSNAP blob inside has its own fingerprint/version/checksum envelope
+// (internal/snapshot), so this layer is pure transport integrity: it
+// exists to make a truncated or bit-flipped transfer *detectable at the
+// stream level*, before the receiver spends decode work, and to carry
+// the graph id so a fetcher can confirm it got the snapshot it asked for.
 //
 // Stream layout (integers little-endian, CRC32-IEEE, mirroring the wire
 // frame and PFSNAP disciplines):
@@ -16,7 +15,7 @@ package flowd
 //	0      2    magic "PS"
 //	2      1    version (1)
 //	3      1    reserved (0)
-//	4      2    graph-id length (1..MaxSnapIDLen)
+//	4      2    graph-id length (1..store.MaxIDLen)
 //	6      n    graph id
 //	then data chunks, each:
 //	       4    chunk length (1..snapMaxChunk)
@@ -39,14 +38,13 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"planarflow/internal/store"
 )
 
 // SnapStreamVersion is the stream framing version (independent of the
 // PFSNAP codec version inside).
 const SnapStreamVersion = 1
-
-// MaxSnapIDLen caps the graph id carried in the stream header.
-const MaxSnapIDLen = 256
 
 // snapMaxChunk caps one chunk's declared length: a length prefix read
 // off an untrusted stream must never size an unbounded allocation.
@@ -77,7 +75,7 @@ var (
 
 // EncodeSnapStream frames one graph's snapshot bytes onto w.
 func EncodeSnapStream(w io.Writer, graph string, data []byte) error {
-	if len(graph) == 0 || len(graph) > MaxSnapIDLen {
+	if len(graph) == 0 || len(graph) > store.MaxIDLen {
 		return fmt.Errorf("%w: graph id length %d", ErrSnapStream, len(graph))
 	}
 	hdr := make([]byte, 0, 6+len(graph))
@@ -113,23 +111,6 @@ func EncodeSnapStream(w io.Writer, graph string, data []byte) error {
 	return err
 }
 
-// AppendSnapStream is EncodeSnapStream into a byte slice (the wire
-// OpSnapB payload path).
-func AppendSnapStream(dst []byte, graph string, data []byte) ([]byte, error) {
-	buf := sliceWriter{b: dst}
-	if err := EncodeSnapStream(&buf, graph, data); err != nil {
-		return dst, err
-	}
-	return buf.b, nil
-}
-
-type sliceWriter struct{ b []byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
 // DecodeSnapStream reads one framed snapshot off r: the graph id it
 // carries and the reassembled snapshot bytes. maxBytes caps the total
 // data size (<= 0 means DefaultMaxSnapBytes); every failure wraps one
@@ -154,7 +135,7 @@ func DecodeSnapStream(r io.Reader, maxBytes int64) (string, []byte, error) {
 		return "", nil, fmt.Errorf("%w: version %d (speak %d)", ErrSnapStream, hdr[2], SnapStreamVersion)
 	}
 	idLen := int(binary.LittleEndian.Uint16(hdr[4:6]))
-	if idLen == 0 || idLen > MaxSnapIDLen {
+	if idLen == 0 || idLen > store.MaxIDLen {
 		return "", nil, fmt.Errorf("%w: graph id length %d", ErrSnapStream, idLen)
 	}
 	id := make([]byte, idLen)

@@ -10,9 +10,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"planarflow/internal/store"
 )
 
-var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed FuzzDecodeSnapStream seed corpus")
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed FuzzDecodeSnapStream and FuzzWireCodec seed corpora")
 
 func TestSnapStreamRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -36,19 +38,14 @@ func TestSnapStreamRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapStreamAppendMatchesEncode(t *testing.T) {
-	data := []byte("snapshot payload bytes")
+// snapStream encodes one snapshot stream into memory.
+func snapStream(t testing.TB, graph string, data []byte) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := EncodeSnapStream(&buf, "g", data); err != nil {
+	if err := EncodeSnapStream(&buf, graph, data); err != nil {
 		t.Fatal(err)
 	}
-	app, err := AppendSnapStream(nil, "g", data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(app, buf.Bytes()) {
-		t.Fatal("AppendSnapStream diverges from EncodeSnapStream")
-	}
+	return buf.Bytes()
 }
 
 func TestSnapStreamEncodeRejectsBadID(t *testing.T) {
@@ -56,7 +53,7 @@ func TestSnapStreamEncodeRejectsBadID(t *testing.T) {
 	if err := EncodeSnapStream(&buf, "", nil); !errors.Is(err, ErrSnapStream) {
 		t.Fatalf("empty id: %v", err)
 	}
-	if err := EncodeSnapStream(&buf, strings.Repeat("x", MaxSnapIDLen+1), nil); !errors.Is(err, ErrSnapStream) {
+	if err := EncodeSnapStream(&buf, strings.Repeat("x", store.MaxIDLen+1), nil); !errors.Is(err, ErrSnapStream) {
 		t.Fatalf("oversize id: %v", err)
 	}
 }
@@ -67,10 +64,7 @@ func TestSnapStreamEncodeRejectsBadID(t *testing.T) {
 func TestSnapStreamTruncation(t *testing.T) {
 	data := make([]byte, 1000)
 	rand.New(rand.NewSource(2)).Read(data)
-	full, err := AppendSnapStream(nil, "gg", data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := snapStream(t, "gg", data)
 	for cut := 0; cut < len(full); cut++ {
 		_, _, err := DecodeSnapStream(bytes.NewReader(full[:cut]), 0)
 		if err == nil {
@@ -84,10 +78,7 @@ func TestSnapStreamTruncation(t *testing.T) {
 
 func TestSnapStreamCorruption(t *testing.T) {
 	data := []byte("some snapshot bytes that matter")
-	full, err := AppendSnapStream(nil, "g", data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := snapStream(t, "g", data)
 	mut := func(i int, x byte) []byte {
 		b := append([]byte(nil), full...)
 		b[i] ^= x
@@ -108,10 +99,7 @@ func TestSnapStreamCorruption(t *testing.T) {
 
 func TestSnapStreamSizeCap(t *testing.T) {
 	data := make([]byte, 4096)
-	full, err := AppendSnapStream(nil, "g", data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := snapStream(t, "g", data)
 	if _, _, err := DecodeSnapStream(bytes.NewReader(full), 100); !errors.Is(err, ErrSnapStreamSize) {
 		t.Fatalf("size cap: %v", err)
 	}
@@ -122,18 +110,9 @@ func TestSnapStreamSizeCap(t *testing.T) {
 
 // snapFuzzSeeds are the stream shapes the fuzzer starts from.
 func snapFuzzSeeds(t testing.TB) map[string][]byte {
-	valid, err := AppendSnapStream(nil, "g", []byte("snapshot bytes"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	empty, err := AppendSnapStream(nil, "empty", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	two, err := AppendSnapStream(nil, "ab", bytes.Repeat([]byte{7}, 600))
-	if err != nil {
-		t.Fatal(err)
-	}
+	valid := snapStream(t, "g", []byte("snapshot bytes"))
+	empty := snapStream(t, "empty", nil)
+	two := snapStream(t, "ab", bytes.Repeat([]byte{7}, 600))
 	mut := func(i int, x byte) []byte {
 		b := append([]byte(nil), valid...)
 		b[i] ^= x
@@ -196,14 +175,15 @@ func FuzzDecodeSnapStream(f *testing.F) {
 			}
 			return
 		}
-		if len(id) == 0 || len(id) > MaxSnapIDLen {
+		if len(id) == 0 || len(id) > store.MaxIDLen {
 			t.Fatalf("decoded id length %d out of range", len(id))
 		}
 		// decode∘encode∘decode is the identity on the logical content.
-		re, err := AppendSnapStream(nil, id, data)
-		if err != nil {
+		var buf bytes.Buffer
+		if err := EncodeSnapStream(&buf, id, data); err != nil {
 			t.Fatalf("decoded stream failed to re-encode: %v", err)
 		}
+		re := buf.Bytes()
 		id2, data2, err := DecodeSnapStream(bytes.NewReader(re), 1<<20)
 		if err != nil {
 			t.Fatalf("re-encoded stream failed to decode: %v", err)

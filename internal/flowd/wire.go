@@ -1,23 +1,22 @@
 package flowd
 
 // The binary wire plane: the same daemon served over internal/wire's
-// framed transport instead of HTTP. The frame payloads ARE the HTTP
-// JSON bodies — OpQuery carries a QueryRequest and returns a
-// QueryResponse, OpBatch a BatchRequest/BatchResponse — decoded by the
-// same strict decoders and executed by the same runQuery/runBatch, so a
-// wire answer is byte-identical to the HTTP answer for the same request
-// (the differential tests pin that). What changes is purely transport:
+// framed transport instead of HTTP. OpQueryB carries a QueryRequest and
+// returns a QueryResponse, OpBatchB a BatchRequest/BatchResponse, both
+// in the binary payload codec (wirecodec.go), validated with the HTTP
+// decoders' checks and executed by the same runQuery/runBatch, so a wire
+// answer renders to exactly the HTTP answer for the same request (the
+// differential tests pin that). What changes is purely transport:
 // persistent connections, many in-flight requests per connection
 // multiplexed by request id, and write coalescing on both directions.
 //
-// HTTP stays the control/compat plane (register, snapshot, statsz); the
-// wire plane carries the high-rate query traffic. WireClient is the
-// matching client: a connection pool with true pipelining and an opt-in
-// micro-coalescer that folds concurrent singleton queries into OpBatch
+// HTTP stays the control plane (register, snapshot, statsz); the wire
+// plane carries the high-rate query traffic. WireClient is the matching
+// client: a connection pool with true pipelining and an opt-in
+// micro-coalescer that folds concurrent singleton queries into OpBatchB
 // frames.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -99,74 +98,28 @@ func (s *Server) wireStats() *wire.Stats {
 }
 
 // ServeFrame implements wire.Handler: one request frame in, one
-// response frame out, the payloads exactly the HTTP plane's JSON
-// bodies (or their binary twins). Each query/batch frame runs under a
-// span keyed by the frame id; pings and unknown ops are not traced.
+// response frame out, the payloads the binary twins of the HTTP plane's
+// JSON bodies. Each query/batch frame runs under a span keyed by the
+// frame id; pings and unknown ops are not traced.
 func (s *Server) ServeFrame(ctx context.Context, op wire.Op, id uint64, payload []byte) (wire.Status, []byte) {
 	switch op {
 	case wire.OpPing:
 		b, _ := encodeBody(map[string]string{"status": "ok"})
 		return wire.StatusOK, b
-	case wire.OpQuery:
-		return s.serveQueryFrame(ctx, id, payload, DecodeQuery,
-			func(resp *QueryResponse) (wire.Status, []byte) { return s.okBody(resp) })
-	case wire.OpBatch:
-		return s.serveBatchFrame(ctx, id, payload, DecodeBatch,
-			func(resp *BatchResponse) (wire.Status, []byte) { return s.okBody(resp) })
 	case wire.OpQueryB:
-		return s.serveQueryFrame(ctx, id, payload, decodeWireQueryRequest,
-			func(resp *QueryResponse) (wire.Status, []byte) {
-				return wire.StatusOK, appendWireQueryResponse(make([]byte, 0, 96+8*len(resp.Dist)+8*len(resp.CutEdges)), resp)
-			})
+		return s.serveQueryFrame(ctx, id, payload)
 	case wire.OpBatchB:
-		return s.serveBatchFrame(ctx, id, payload, decodeWireBatchRequest,
-			func(resp *BatchResponse) (wire.Status, []byte) {
-				return wire.StatusOK, appendWireBatchResponse(make([]byte, 0, 32+96*len(resp.Results)), resp)
-			})
-	case wire.OpSnapB:
-		return s.serveSnapFrame(payload)
+		return s.serveBatchFrame(ctx, id, payload)
 	default:
 		return wire.StatusBadRequest, errBody(fmt.Sprintf("flowd: unknown wire op %d", op))
 	}
 }
 
-// serveSnapFrame answers one OpSnapB request: the payload is the raw
-// graph-id bytes, the response a snapstream-framed snapshot in one
-// frame. A snapshot too big for one wire frame answers StatusOverload —
-// the caller falls back to the HTTP endpoint, which has no frame cap.
-func (s *Server) serveSnapFrame(payload []byte) (wire.Status, []byte) {
-	graph := string(payload)
-	if graph == "" || len(graph) > MaxSnapIDLen {
-		return wire.StatusBadRequest, errBody(fmt.Sprintf("flowd: bad snapshot request: id length %d", len(payload)))
-	}
-	var buf bytes.Buffer
-	ok, err := s.st.SnapshotTo(graph, &buf)
-	if err != nil {
-		return wireStatusOf(err), errBody(err.Error())
-	}
-	if !ok {
-		err := fmt.Errorf("%w: %q", ErrNoSnapshot, graph)
-		return wireStatusOf(err), errBody(err.Error())
-	}
-	body, err := AppendSnapStream(make([]byte, 0, buf.Len()+64), graph, buf.Bytes())
-	if err != nil {
-		return wire.StatusInternal, errBody(err.Error())
-	}
-	if len(body) > wire.MaxPayload {
-		return wire.StatusOverload, errBody(fmt.Sprintf(
-			"flowd: snapshot of %q is %d bytes, over the %d frame cap; use GET /v1/snapshot", graph, len(body), wire.MaxPayload))
-	}
-	return wire.StatusOK, body
-}
-
-// serveQueryFrame is the wire plane's span-wrapped singleton execution,
-// parameterized over the JSON and binary payload codecs.
-func (s *Server) serveQueryFrame(ctx context.Context, id uint64, payload []byte,
-	decode func([]byte) (*QueryRequest, error),
-	encode func(*QueryResponse) (wire.Status, []byte)) (wire.Status, []byte) {
+// serveQueryFrame is the wire plane's span-wrapped singleton execution.
+func (s *Server) serveQueryFrame(ctx context.Context, id uint64, payload []byte) (wire.Status, []byte) {
 	sp, ctx := s.beginWireSpan(ctx, id)
 	sp.Family = decodeFamily
-	req, err := decode(payload)
+	req, err := decodeWireQueryRequest(payload)
 	sp.MarkSince(obs.PhaseDecode, sp.Start)
 	if err != nil {
 		s.finishRequest(sp, err.Error())
@@ -179,22 +132,20 @@ func (s *Server) serveQueryFrame(ctx context.Context, id uint64, payload []byte,
 		return wireStatusOf(err), errBody(err.Error())
 	}
 	t0 := time.Now()
-	status, body := encode(resp)
+	body := appendWireQueryResponse(make([]byte, 0, 96+8*len(resp.Dist)+8*len(resp.CutEdges)), resp)
 	sp.MarkSince(obs.PhaseEncode, t0)
 	s.finishRequest(sp, "")
-	return status, body
+	return wire.StatusOK, body
 }
 
 // serveBatchFrame is serveQueryFrame's batch twin; it also feeds the
 // transport-level fold counter (how many queries arrived per batch
 // frame — the client-side coalescer reports the same shape from its
 // end).
-func (s *Server) serveBatchFrame(ctx context.Context, id uint64, payload []byte,
-	decode func([]byte) (*BatchRequest, error),
-	encode func(*BatchResponse) (wire.Status, []byte)) (wire.Status, []byte) {
+func (s *Server) serveBatchFrame(ctx context.Context, id uint64, payload []byte) (wire.Status, []byte) {
 	sp, ctx := s.beginWireSpan(ctx, id)
 	sp.Family = decodeFamily
-	req, err := decode(payload)
+	req, err := decodeWireBatchRequest(payload)
 	sp.MarkSince(obs.PhaseDecode, sp.Start)
 	if err != nil {
 		s.finishRequest(sp, err.Error())
@@ -208,21 +159,10 @@ func (s *Server) serveBatchFrame(ctx context.Context, id uint64, payload []byte,
 		return wireStatusOf(err), errBody(err.Error())
 	}
 	t0 := time.Now()
-	status, body := encode(resp)
+	body := appendWireBatchResponse(make([]byte, 0, 32+96*len(resp.Results)), resp)
 	sp.MarkSince(obs.PhaseEncode, t0)
 	s.finishRequest(sp, "")
-	return status, body
-}
-
-// okBody encodes a success payload; an encode failure (cannot happen
-// for the response types, but the transport must stay total) degrades
-// to an internal error so the requester is never left hanging.
-func (s *Server) okBody(v any) (wire.Status, []byte) {
-	b, err := encodeBody(v)
-	if err != nil {
-		return wire.StatusInternal, errBody("flowd: encoding response: " + err.Error())
-	}
-	return wire.StatusOK, b
+	return wire.StatusOK, body
 }
 
 // StatusError is a daemon-reported failure over the wire transport: the
@@ -266,7 +206,7 @@ type WireOptions struct {
 	// for server-side parallelism, not for concurrent callers.
 	PoolSize int
 	// Coalesce enables the micro-coalescer: concurrent singleton Query
-	// calls against the same graph are folded into one OpBatch frame
+	// calls against the same graph are folded into one OpBatchB frame
 	// (execution via the store's batch plane — answers are bit-identical
 	// to the singleton route by the query plane's own differential
 	// tests). Queries keep per-call contexts: a canceled caller stops
@@ -323,7 +263,7 @@ func (c *WireClient) Close() error {
 }
 
 // Query runs one query over the wire. With coalescing enabled the call
-// may travel inside a folded OpBatch frame; either way the answer is
+// may travel inside a folded OpBatchB frame; either way the answer is
 // the daemon's QueryResponse for exactly this request.
 func (c *WireClient) Query(ctx context.Context, req QueryRequest) (*QueryResponse, error) {
 	if c.co != nil {
@@ -383,7 +323,7 @@ type coalResult struct {
 	err  error
 }
 
-// coalescer folds concurrent singleton queries into OpBatch frames: a
+// coalescer folds concurrent singleton queries into OpBatchB frames: a
 // dispatcher drains everything queued at the moment it wakes, groups by
 // graph id, and ships each group of two-or-more as one batch frame (a
 // group of one goes out as a plain query frame — the fold never adds a
@@ -481,7 +421,7 @@ func groupByGraph(items []*coalItem) map[string][]*coalItem {
 	return groups
 }
 
-// flush ships one graph's fold. Two or more items become an OpBatch
+// flush ships one graph's fold. Two or more items become an OpBatchB
 // frame whose per-entry results are translated back into
 // QueryResponses; the frame's context outlives any single caller (a
 // canceled caller stops waiting, the frame completes for the rest).

@@ -134,7 +134,7 @@ func TestWireDifferentialIdentity(t *testing.T) {
 	}
 
 	// Batch parity at the same sequence point: the same queries shipped as
-	// one OpBatch frame must match the HTTP batch route result for result.
+	// one OpBatchB frame must match the HTTP batch route result for result.
 	breq := BatchRequest{Graph: "grid", Queries: []BatchQuery{
 		{Op: "dist", U: 0, V: gridN - 1}, {Op: "maxflow", U: 0, V: gridN - 1}, {Op: "girth"},
 	}}
@@ -189,9 +189,9 @@ func TestWireErrorParity(t *testing.T) {
 		}
 	}
 
-	// Malformed frames at the decode layer: garbage JSON must come back
-	// as StatusBadRequest, not kill the connection.
-	status, body, err := wc.pool.Do(ctx, wire.OpQuery, []byte("{nope"))
+	// Malformed payloads at the decode layer: garbage bytes must come
+	// back as StatusBadRequest, not kill the connection.
+	status, body, err := wc.pool.Do(ctx, wire.OpQueryB, []byte("{nope"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestWireErrorParity(t *testing.T) {
 }
 
 // TestCoalescerFoldsBurst drives the micro-coalescer deterministically:
-// items enqueued before the dispatcher starts must fold into OpBatch
+// items enqueued before the dispatcher starts must fold into OpBatchB
 // frames (observable in the transport counters), and every caller must
 // still get its own correct answer.
 func TestCoalescerFoldsBurst(t *testing.T) {

@@ -1,14 +1,15 @@
 package flowd
 
-// The compact binary payload codec for the wire transport's hot ops
+// The compact binary payload codec for the wire transport's query ops
 // (wire.OpQueryB / wire.OpBatchB): the same QueryRequest/QueryResponse
-// and BatchRequest/BatchResponse values the JSON ops carry, hand-encoded
-// little-endian with length-prefixed strings and slices. JSON reflection
-// is the dominant per-query cost once the decode engine answers in
-// microseconds — this codec removes it from the serving path while the
-// JSON ops remain for compatibility (and the differential tests pin that
-// a binary-routed answer renders to exactly the same JSON as the HTTP
-// route's).
+// and BatchRequest/BatchResponse values the HTTP plane carries as JSON,
+// hand-encoded little-endian with length-prefixed strings and slices.
+// JSON reflection is the dominant per-query cost once the decode engine
+// answers in microseconds — this codec removes it from the serving path
+// (and the differential tests pin that a binary-routed answer renders to
+// exactly the same JSON as the HTTP route's). It is the only wire
+// payload decoder that reads untrusted input; FuzzWireCodec holds it to
+// the discipline below.
 //
 // Discipline mirrors the PFSNAP snapshot codec: decoders never panic,
 // fail with errors wrapping ErrWireCodec, validate lengths against the
@@ -19,6 +20,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"planarflow/internal/store"
 )
 
 // ErrWireCodec is the typed sentinel every binary payload decode failure
@@ -222,8 +225,8 @@ func decodeWireQueryRequest(b []byte) (*QueryRequest, error) {
 	if err := d.done(); err != nil {
 		return nil, err
 	}
-	if r.Graph == "" {
-		return nil, errors.New("flowd: bad query: missing graph id")
+	if err := store.CheckID(r.Graph); err != nil {
+		return nil, fmt.Errorf("flowd: bad query: %w", err)
 	}
 	if err := checkArgs(r.Op, r.U, r.V, r.Source, r.Eps); err != nil {
 		return nil, fmt.Errorf("flowd: bad query: %s", err)
@@ -306,8 +309,8 @@ func decodeWireBatchRequest(b []byte) (*BatchRequest, error) {
 	if err := d.done(); err != nil {
 		return nil, err
 	}
-	if r.Graph == "" {
-		return nil, errors.New("flowd: bad batch: missing graph id")
+	if err := store.CheckID(r.Graph); err != nil {
+		return nil, fmt.Errorf("flowd: bad batch: %w", err)
 	}
 	if r.Workers < 0 || r.Workers > MaxBatchWorkers {
 		return nil, fmt.Errorf("flowd: bad batch: workers=%d out of [0, %d]", r.Workers, MaxBatchWorkers)

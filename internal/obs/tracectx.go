@@ -4,7 +4,7 @@ package obs
 // request — a 128-bit trace id minted at the first span (usually the
 // fleet client), plus the parent span id and the hop count of the edge
 // being crossed. It travels over the HTTP plane in the X-Pf-Trace
-// header and over the wire plane in the version-2 frame's trace block;
+// header and over the wire plane in every frame's trace block;
 // every replica that receives one stamps its server span with the
 // inbound identity so /fleettracez can stitch the per-replica rings
 // back into one tree.

@@ -64,7 +64,28 @@ var (
 	// ErrSpillDisabled reports a snapshot request on a store with no
 	// Config.SpillDir.
 	ErrSpillDisabled = errors.New("store: snapshot tier disabled (no spill directory)")
+	// ErrBadID reports a Register with an empty graph id or one longer
+	// than MaxIDLen.
+	ErrBadID = errors.New("store: bad graph id")
 )
+
+// MaxIDLen caps a graph id's length in bytes. It is the one limit for
+// every plane: the snapshot stream that replicates a graph to peers
+// carries its id under the same cap, so an id the store accepts can
+// always be replicated.
+const MaxIDLen = 256
+
+// CheckID reports whether id is a valid graph id: non-empty and at
+// most MaxIDLen bytes. Failures wrap ErrBadID.
+func CheckID(id string) error {
+	if id == "" {
+		return fmt.Errorf("%w: empty", ErrBadID)
+	}
+	if len(id) > MaxIDLen {
+		return fmt.Errorf("%w: length %d exceeds %d", ErrBadID, len(id), MaxIDLen)
+	}
+	return nil
+}
 
 // DefaultMaxGraphs caps registrations when Config.MaxGraphs is zero.
 // Registered graphs live outside the MaxBytes budget (only their
@@ -198,8 +219,8 @@ func (s *Store) Register(id string, gr *planarflow.Graph) error {
 	if gr == nil {
 		return fmt.Errorf("store: register %q: nil graph", id)
 	}
-	if id == "" {
-		return errors.New("store: empty graph id")
+	if err := CheckID(id); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -226,8 +247,8 @@ func (s *Store) registerLocked(id string, gr *planarflow.Graph) error {
 // again authoritatively at insertion; a racing duplicate can still waste
 // one build, but a repeated or abusive one cannot.
 func (s *Store) RegisterSpec(id string, sp GraphSpec) (*planarflow.Graph, error) {
-	if id == "" {
-		return nil, errors.New("store: empty graph id")
+	if err := CheckID(id); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	_, dup := s.ents[id]

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -44,8 +45,18 @@ func TestRegisterErrors(t *testing.T) {
 	if _, err := s.RegisterSpec("a", gridSpec(2)); !errors.Is(err, ErrDuplicateID) {
 		t.Fatalf("duplicate register: %v", err)
 	}
-	if err := s.Register("", planarflow.GridGraph(3, 3)); err == nil {
-		t.Fatal("empty id accepted")
+	if err := s.Register("", planarflow.GridGraph(3, 3)); !errors.Is(err, ErrBadID) {
+		t.Fatalf("empty id: %v", err)
+	}
+	long := strings.Repeat("x", MaxIDLen+1)
+	if err := s.Register(long, planarflow.GridGraph(3, 3)); !errors.Is(err, ErrBadID) {
+		t.Fatalf("%d-byte id: %v", len(long), err)
+	}
+	if _, err := s.RegisterSpec(long, gridSpec(1)); !errors.Is(err, ErrBadID) {
+		t.Fatalf("%d-byte spec id: %v", len(long), err)
+	}
+	if err := s.Register(long[:MaxIDLen], planarflow.GridGraph(3, 3)); err != nil {
+		t.Fatalf("%d-byte id: %v", MaxIDLen, err)
 	}
 	if err := s.Register("b", nil); err == nil {
 		t.Fatal("nil graph accepted")

@@ -8,32 +8,30 @@
 // coalesce writes at batch boundaries so a pipelined client pays one
 // syscall for many frames.
 //
-// The protocol is pure transport — the JSON ops carry exactly the JSON
-// bodies of the corresponding HTTP endpoints (shared strict decoders),
-// and the binary ops (OpQueryB/OpBatchB) carry the same request and
-// response structs through internal/flowd's hand-written codec, pinned
-// bit-identical to the HTTP route by differential tests. Framing and
-// encoding cost, not semantics, are what this package buys.
+// The protocol is pure transport — the query ops (OpQueryB/OpBatchB)
+// carry the HTTP plane's request and response structs through
+// internal/flowd's hand-written binary codec, pinned bit-identical to
+// the HTTP route by differential tests. Framing and encoding cost, not
+// semantics, are what this package buys.
 //
 // Frame layout (integers little-endian, CRC32-IEEE over everything
 // between header and checksum, mirroring the PFSNAP snapshot codec's
 // checksum discipline):
 //
-//	offset size field
-//	0      2    magic "PW"
-//	2      1    version (1 or 2)
-//	3      1    kind: request Op, or 0x80|Status for responses
-//	4      8    request id (echoed verbatim in the response frame)
-//	12     4    payload length (<= MaxPayload)
-//	16     t    trace block (version 2 only, t = 25; absent in version 1)
-//	16+t   n    payload
-//	16+t+n 4    CRC32(trace block + payload)
+//	offset  size field
+//	0       2    magic "PW"
+//	2       1    version (2)
+//	3       1    kind: request Op, or 0x80|Status for responses
+//	4       8    request id (echoed verbatim in the response frame)
+//	12      4    payload length (<= MaxPayload)
+//	16      25   trace block
+//	41      n    payload
+//	41+n    4    CRC32(trace block + payload)
 //
-// Version 2 frames carry a distributed-trace context between the
+// The trace block carries a distributed-trace context between the
 // header and the payload: 8-byte trace-id high half, 8-byte low half,
-// 8-byte parent span id, 1-byte hop count. Both versions decode;
-// AppendFrame still emits version 1 (responses and untraced requests
-// stay byte-identical to old peers), AppendTracedFrame emits version 2.
+// 8-byte parent span id, 1-byte hop count. It is all zero when the
+// sender is untraced.
 //
 // Every decode failure is a typed sentinel (ErrBadMagic, ErrVersion,
 // ErrBadKind, ErrOversize, ErrTruncated, ErrChecksum); decoding never
@@ -52,20 +50,15 @@ import (
 	"planarflow/internal/obs"
 )
 
-// Version is the base protocol version (traceless frames). Peers
-// accept Version and VersionTrace and reject anything else: the
-// protocol has no negotiation — any other version is a fleet upgrade.
-const Version = 1
+// version is the only frame version peers speak: the protocol has no
+// negotiation — any other version is a fleet upgrade.
+const version = 2
 
-// VersionTrace is the trace-carrying frame version: identical layout
-// with a 25-byte trace block between header and payload.
-const VersionTrace = 2
-
-// HeaderLen is the fixed frame header size preceding the payload.
+// HeaderLen is the fixed frame header size preceding the trace block.
 const HeaderLen = 16
 
-// traceLen is the version-2 trace block: trace id hi/lo, parent span
-// id, hop count.
+// traceLen is the trace block between header and payload: trace id
+// hi/lo, parent span id, hop count.
 const traceLen = 8 + 8 + 8 + 1
 
 // crcLen trails every payload.
@@ -81,29 +74,19 @@ var frameMagic = [2]byte{'P', 'W'}
 // Op is a request frame's operation.
 type Op uint8
 
+// Op bytes 1, 2 and 6 are reserved: they are rejected as ErrBadKind
+// and must not be reassigned, so a peer still sending them fails loudly
+// instead of being misread.
 const (
-	// OpQuery carries a flowd QueryRequest JSON body (POST /v1/query).
-	OpQuery Op = 1
-	// OpBatch carries a flowd BatchRequest JSON body (POST /v1/batch).
-	OpBatch Op = 2
 	// OpPing is the liveness probe (GET /healthz); its payload is empty.
 	OpPing Op = 3
-	// OpQueryB is OpQuery with the compact binary payload codec
-	// (internal/flowd's wirecodec) instead of JSON — same request, same
-	// answer, a fraction of the encode/decode cost. Error responses
-	// (status != OK) carry the JSON error body on every op.
+	// OpQueryB carries one query (POST /v1/query) in the compact binary
+	// payload codec (internal/flowd's wirecodec). Error responses
+	// (status != OK) carry the HTTP plane's JSON error body.
 	OpQueryB Op = 4
-	// OpBatchB is OpBatch with the binary payload codec.
+	// OpBatchB carries one batch (POST /v1/batch) in the binary payload
+	// codec.
 	OpBatchB Op = 5
-	// OpSnapB requests a prepared-substrate snapshot: the payload is the
-	// raw graph-id bytes, the response a snapstream-framed PFSNAP blob
-	// (internal/flowd's snapshot-stream codec) — the peer-to-peer restore
-	// path of the fleet plane. Snapshots over MaxPayload answer
-	// StatusOverload; the caller falls back to the HTTP endpoint, which
-	// has no frame cap.
-	OpSnapB Op = 6
-
-	maxOp = 6
 )
 
 // Status is a response frame's outcome, the wire projection of the HTTP
@@ -166,13 +149,11 @@ var (
 )
 
 // Frame is one decoded frame. Kind is a request Op for request frames
-// and respBit|Status for response frames. Version records which frame
-// version carried it; Trace is the propagated trace context and is the
-// zero (invalid) context on version-1 frames.
+// and respBit|Status for response frames. Trace is the propagated trace
+// context, the zero (invalid) context when the sender was untraced.
 type Frame struct {
 	Kind    uint8
 	ID      uint64
-	Version uint8
 	Trace   obs.TraceContext
 	Payload []byte
 }
@@ -191,39 +172,25 @@ func validKind(kind uint8) bool {
 	if kind&respBit != 0 {
 		return kind&^respBit <= maxStatus
 	}
-	return kind >= 1 && kind <= maxOp
-}
-
-// AppendFrame appends one encoded version-1 (traceless) frame to dst
-// and returns the extended slice. It fails only for payloads over
-// MaxPayload.
-func AppendFrame(dst []byte, kind uint8, id uint64, payload []byte) ([]byte, error) {
-	if len(payload) > MaxPayload {
-		return dst, fmt.Errorf("%w: %d > %d", ErrOversize, len(payload), MaxPayload)
+	switch Op(kind) {
+	case OpPing, OpQueryB, OpBatchB:
+		return true
 	}
-	var hdr [HeaderLen]byte
-	hdr[0], hdr[1] = frameMagic[0], frameMagic[1]
-	hdr[2] = Version
-	hdr[3] = kind
-	binary.LittleEndian.PutUint64(hdr[4:12], id)
-	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(payload)))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, payload...)
-	var crc [crcLen]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	return append(dst, crc[:]...), nil
+	return false
 }
 
-// AppendTracedFrame appends one encoded version-2 frame carrying tc
-// between header and payload. The length field still counts only the
-// payload; the CRC covers trace block plus payload.
-func AppendTracedFrame(dst []byte, kind uint8, id uint64, tc obs.TraceContext, payload []byte) ([]byte, error) {
+// AppendFrame appends one encoded frame carrying tc between header and
+// payload (the zero context for an untraced sender) and returns the
+// extended slice. The length field counts only the payload; the CRC
+// covers trace block plus payload. It fails only for payloads over
+// MaxPayload.
+func AppendFrame(dst []byte, kind uint8, id uint64, tc obs.TraceContext, payload []byte) ([]byte, error) {
 	if len(payload) > MaxPayload {
 		return dst, fmt.Errorf("%w: %d > %d", ErrOversize, len(payload), MaxPayload)
 	}
 	var hdr [HeaderLen + traceLen]byte
 	hdr[0], hdr[1] = frameMagic[0], frameMagic[1]
-	hdr[2] = VersionTrace
+	hdr[2] = version
 	hdr[3] = kind
 	binary.LittleEndian.PutUint64(hdr[4:12], id)
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(payload)))
@@ -254,31 +221,22 @@ func getTrace(b []byte) obs.TraceContext {
 }
 
 // checkHeader validates the fixed 16-byte header and returns the
-// frame version and the declared payload length.
-func checkHeader(hdr []byte) (uint8, int, error) {
+// declared payload length.
+func checkHeader(hdr []byte) (int, error) {
 	if hdr[0] != frameMagic[0] || hdr[1] != frameMagic[1] {
-		return 0, 0, ErrBadMagic
+		return 0, ErrBadMagic
 	}
-	if hdr[2] != Version && hdr[2] != VersionTrace {
-		return 0, 0, fmt.Errorf("%w: %d (speak %d and %d)", ErrVersion, hdr[2], Version, VersionTrace)
+	if hdr[2] != version {
+		return 0, fmt.Errorf("%w: %d (speak %d)", ErrVersion, hdr[2], version)
 	}
 	if !validKind(hdr[3]) {
-		return 0, 0, fmt.Errorf("%w: 0x%02x", ErrBadKind, hdr[3])
+		return 0, fmt.Errorf("%w: 0x%02x", ErrBadKind, hdr[3])
 	}
 	n := binary.LittleEndian.Uint32(hdr[12:16])
 	if n > MaxPayload {
-		return 0, 0, fmt.Errorf("%w: %d > %d", ErrOversize, n, MaxPayload)
+		return 0, fmt.Errorf("%w: %d > %d", ErrOversize, n, MaxPayload)
 	}
-	return hdr[2], int(n), nil
-}
-
-// traceExtra is the number of bytes between header and payload for a
-// frame version.
-func traceExtra(ver uint8) int {
-	if ver == VersionTrace {
-		return traceLen
-	}
-	return 0
+	return int(n), nil
 }
 
 // DecodeFrame decodes one frame from the front of b, returning the frame
@@ -290,29 +248,24 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 	if len(b) < HeaderLen {
 		return Frame{}, 0, fmt.Errorf("%w: %d header bytes of %d", ErrTruncated, len(b), HeaderLen)
 	}
-	ver, n, err := checkHeader(b[:HeaderLen])
+	n, err := checkHeader(b[:HeaderLen])
 	if err != nil {
 		return Frame{}, 0, err
 	}
-	extra := traceExtra(ver)
-	total := HeaderLen + extra + n + crcLen
+	total := HeaderLen + traceLen + n + crcLen
 	if len(b) < total {
 		return Frame{}, 0, fmt.Errorf("%w: frame declares %d bytes, %d remain", ErrTruncated, total, len(b))
 	}
-	body := b[HeaderLen : HeaderLen+extra+n]
-	if binary.LittleEndian.Uint32(b[HeaderLen+extra+n:total]) != crc32.ChecksumIEEE(body) {
+	body := b[HeaderLen : total-crcLen]
+	if binary.LittleEndian.Uint32(b[total-crcLen:total]) != crc32.ChecksumIEEE(body) {
 		return Frame{}, 0, ErrChecksum
 	}
-	f := Frame{
+	return Frame{
 		Kind:    b[3],
 		ID:      binary.LittleEndian.Uint64(b[4:12]),
-		Version: ver,
-		Payload: body[extra:],
-	}
-	if extra > 0 {
-		f.Trace = getTrace(body)
-	}
-	return f, total, nil
+		Trace:   getTrace(body),
+		Payload: body[traceLen:],
+	}, total, nil
 }
 
 // ReadFrame reads one frame off a connection's buffered reader. The
@@ -328,29 +281,24 @@ func ReadFrame(br *bufio.Reader) (Frame, error) {
 	if _, err := io.ReadFull(br, hdr[1:]); err != nil {
 		return Frame{}, truncated(err)
 	}
-	ver, n, err := checkHeader(hdr[:])
+	n, err := checkHeader(hdr[:])
 	if err != nil {
 		return Frame{}, err
 	}
-	extra := traceExtra(ver)
-	body := make([]byte, extra+n+crcLen)
+	body := make([]byte, traceLen+n+crcLen)
 	if _, err := io.ReadFull(br, body); err != nil {
 		return Frame{}, truncated(err)
 	}
-	checked := body[:extra+n]
-	if binary.LittleEndian.Uint32(body[extra+n:]) != crc32.ChecksumIEEE(checked) {
+	checked := body[:traceLen+n]
+	if binary.LittleEndian.Uint32(body[traceLen+n:]) != crc32.ChecksumIEEE(checked) {
 		return Frame{}, ErrChecksum
 	}
-	f := Frame{
+	return Frame{
 		Kind:    hdr[3],
 		ID:      binary.LittleEndian.Uint64(hdr[4:12]),
-		Version: ver,
-		Payload: checked[extra:],
-	}
-	if extra > 0 {
-		f.Trace = getTrace(checked)
-	}
-	return f, nil
+		Trace:   getTrace(checked),
+		Payload: checked[traceLen:],
+	}, nil
 }
 
 // truncated maps a mid-frame EOF to the sentinel; other I/O errors

@@ -7,11 +7,13 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"planarflow/internal/obs"
 )
 
 func mustFrame(t *testing.T, kind uint8, id uint64, payload []byte) []byte {
 	t.Helper()
-	b, err := AppendFrame(nil, kind, id, payload)
+	b, err := AppendFrame(nil, kind, id, obs.TraceContext{}, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,21 +21,26 @@ func mustFrame(t *testing.T, kind uint8, id uint64, payload []byte) []byte {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
+	traced := obs.TraceContext{Hi: 0x0123456789abcdef, Lo: 0xfedcba9876543210, Parent: 0x1122334455667788, Hop: 3}
 	cases := []struct {
 		kind    uint8
 		id      uint64
+		tc      obs.TraceContext
 		payload string
 	}{
-		{uint8(OpQuery), 1, `{"graph":"g","op":"dist","u":0,"v":5}`},
-		{uint8(OpBatch), 1<<64 - 1, `{"graph":"g","queries":[{"op":"girth"}]}`},
-		{uint8(OpPing), 0, ""},
-		{respBit | uint8(StatusOK), 7, `{"value":42}`},
-		{respBit | uint8(StatusNotFound), 9, `{"error":"unknown graph"}`},
+		{uint8(OpQueryB), 1, obs.TraceContext{}, "\x01\x00\x00\x00g"},
+		{uint8(OpBatchB), 1<<64 - 1, traced, "\x01\x00\x00\x00g\x00"},
+		{uint8(OpPing), 0, obs.TraceContext{}, ""},
+		{respBit | uint8(StatusOK), 7, obs.TraceContext{}, "\x2a"},
+		{respBit | uint8(StatusNotFound), 9, obs.TraceContext{}, `{"error":"unknown graph"}`},
 	}
 	for _, c := range cases {
-		enc := mustFrame(t, c.kind, c.id, []byte(c.payload))
-		if len(enc) != HeaderLen+len(c.payload)+crcLen {
-			t.Fatalf("kind 0x%02x: encoded %d bytes, want %d", c.kind, len(enc), HeaderLen+len(c.payload)+crcLen)
+		enc, err := AppendFrame(nil, c.kind, c.id, c.tc, []byte(c.payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(enc) != HeaderLen+traceLen+len(c.payload)+crcLen {
+			t.Fatalf("kind 0x%02x: encoded %d bytes, want %d", c.kind, len(enc), HeaderLen+traceLen+len(c.payload)+crcLen)
 		}
 
 		// Slice decode.
@@ -44,8 +51,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		if n != len(enc) {
 			t.Fatalf("consumed %d of %d", n, len(enc))
 		}
-		if f.Kind != c.kind || f.ID != c.id || string(f.Payload) != c.payload {
-			t.Fatalf("decoded %+v, want kind=0x%02x id=%d payload=%q", f, c.kind, c.id, c.payload)
+		if f.Kind != c.kind || f.ID != c.id || f.Trace != c.tc || string(f.Payload) != c.payload {
+			t.Fatalf("decoded %+v, want kind=0x%02x id=%d trace=%+v payload=%q", f, c.kind, c.id, c.tc, c.payload)
 		}
 
 		// Stream decode.
@@ -53,15 +60,15 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sf.Kind != f.Kind || sf.ID != f.ID || !bytes.Equal(sf.Payload, f.Payload) {
+		if sf.Kind != f.Kind || sf.ID != f.ID || sf.Trace != f.Trace || !bytes.Equal(sf.Payload, f.Payload) {
 			t.Fatalf("stream decode diverged: %+v vs %+v", sf, f)
 		}
 	}
 }
 
 func TestFrameKindAccessors(t *testing.T) {
-	req := Frame{Kind: uint8(OpBatch)}
-	if req.IsResponse() || req.Op() != OpBatch {
+	req := Frame{Kind: uint8(OpBatchB)}
+	if req.IsResponse() || req.Op() != OpBatchB {
 		t.Fatalf("request accessors wrong: %+v", req)
 	}
 	resp := Frame{Kind: respBit | uint8(StatusCanceled)}
@@ -74,8 +81,8 @@ func TestFrameKindAccessors(t *testing.T) {
 }
 
 func TestDecodeFrameConsecutive(t *testing.T) {
-	buf := mustFrame(t, uint8(OpQuery), 1, []byte("one"))
-	buf = append(buf, mustFrame(t, uint8(OpQuery), 2, []byte("two"))...)
+	buf := mustFrame(t, uint8(OpQueryB), 1, []byte("one"))
+	buf = append(buf, mustFrame(t, uint8(OpQueryB), 2, []byte("two"))...)
 	f1, n1, err := DecodeFrame(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +97,7 @@ func TestDecodeFrameConsecutive(t *testing.T) {
 }
 
 func TestFrameErrors(t *testing.T) {
-	valid := mustFrame(t, uint8(OpQuery), 5, []byte(`{"op":"dist"}`))
+	valid := mustFrame(t, uint8(OpQueryB), 5, []byte("\x01\x00\x00\x00g"))
 
 	corrupt := func(mut func(b []byte)) []byte {
 		b := append([]byte(nil), valid...)
@@ -106,12 +113,17 @@ func TestFrameErrors(t *testing.T) {
 		{"short-header", valid[:HeaderLen-1], ErrTruncated},
 		{"short-body", valid[:len(valid)-1], ErrTruncated},
 		{"bad-magic", corrupt(func(b []byte) { b[0] = 'X' }), ErrBadMagic},
-		{"bad-version", corrupt(func(b []byte) { b[2] = VersionTrace + 1 }), ErrVersion},
+		{"bad-version", corrupt(func(b []byte) { b[2] = version + 1 }), ErrVersion},
+		{"retired-version-1", corrupt(func(b []byte) { b[2] = 1 }), ErrVersion},
 		{"zero-kind", corrupt(func(b []byte) { b[3] = 0 }), ErrBadKind},
+		{"retired-op-1", corrupt(func(b []byte) { b[3] = 1 }), ErrBadKind},
+		{"retired-op-2", corrupt(func(b []byte) { b[3] = 2 }), ErrBadKind},
+		{"retired-op-6", corrupt(func(b []byte) { b[3] = 6 }), ErrBadKind},
 		{"huge-kind", corrupt(func(b []byte) { b[3] = 0x7f }), ErrBadKind},
 		{"bad-status", corrupt(func(b []byte) { b[3] = respBit | 0x3f }), ErrBadKind},
 		{"oversize", corrupt(func(b []byte) { b[12], b[13], b[14], b[15] = 0xff, 0xff, 0xff, 0xff }), ErrOversize},
-		{"flipped-payload", corrupt(func(b []byte) { b[HeaderLen] ^= 0xff }), ErrChecksum},
+		{"flipped-trace", corrupt(func(b []byte) { b[HeaderLen] ^= 0xff }), ErrChecksum},
+		{"flipped-payload", corrupt(func(b []byte) { b[HeaderLen+traceLen] ^= 0xff }), ErrChecksum},
 		{"flipped-crc", corrupt(func(b []byte) { b[len(b)-1] ^= 0x01 }), ErrChecksum},
 	}
 	for _, c := range cases {
@@ -130,11 +142,11 @@ func TestFrameErrors(t *testing.T) {
 }
 
 func TestAppendFrameOversizePayload(t *testing.T) {
-	if _, err := AppendFrame(nil, uint8(OpQuery), 1, make([]byte, MaxPayload+1)); !errors.Is(err, ErrOversize) {
+	if _, err := AppendFrame(nil, uint8(OpQueryB), 1, obs.TraceContext{}, make([]byte, MaxPayload+1)); !errors.Is(err, ErrOversize) {
 		t.Fatalf("err = %v, want ErrOversize", err)
 	}
 	// Exactly at the cap is legal.
-	b, err := AppendFrame(nil, uint8(OpQuery), 1, make([]byte, MaxPayload))
+	b, err := AppendFrame(nil, uint8(OpQueryB), 1, obs.TraceContext{}, make([]byte, MaxPayload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +160,7 @@ func TestAppendFrameOversizePayload(t *testing.T) {
 // must fail with ErrTruncated after at most MaxPayload of buffer, and an
 // oversized declaration must fail before allocating anything.
 func TestReadFrameDoesNotOverAllocate(t *testing.T) {
-	hdr := mustFrame(t, uint8(OpQuery), 1, nil)[:HeaderLen]
+	hdr := mustFrame(t, uint8(OpQueryB), 1, nil)[:HeaderLen]
 	hdr[12], hdr[13] = 0xff, 0xff // declare 64 KiB-ish, deliver none
 	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(hdr))); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err = %v, want ErrTruncated", err)
@@ -176,7 +188,7 @@ func TestReadFrameStreamSequence(t *testing.T) {
 	var stream []byte
 	payloads := []string{"a", strings.Repeat("b", 1000), ""}
 	for i, p := range payloads {
-		stream = append(stream, mustFrame(t, uint8(OpQuery), uint64(i), []byte(p))...)
+		stream = append(stream, mustFrame(t, uint8(OpQueryB), uint64(i), []byte(p))...)
 	}
 	br := bufio.NewReader(bytes.NewReader(stream))
 	for i, p := range payloads {

@@ -15,22 +15,22 @@ import (
 var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed FuzzDecodeFrame seed corpus")
 
 // fuzzSeeds are the interesting frame shapes the fuzzer starts from: a
-// valid request, a valid response, every rejection class (truncations at
-// both depths, flipped payload and CRC bytes, foreign magic, future
-// version, unknown kind, oversized length prefix), plus the version-2
-// trace-carrying shapes (valid, truncated inside the trace block, trace
-// byte flipped under the CRC).
+// valid untraced request, a valid response, every rejection class
+// (truncations at both depths, flipped payload and CRC bytes, foreign
+// magic, future version, unknown kind, oversized length prefix), plus
+// the trace-carrying shapes (valid, truncated inside the trace block,
+// trace byte flipped under the CRC).
 func fuzzSeeds(t testing.TB) map[string][]byte {
-	valid, err := AppendFrame(nil, uint8(OpQuery), 42, []byte(`{"graph":"g","op":"dist","u":0,"v":5}`))
+	valid, err := AppendFrame(nil, uint8(OpQueryB), 42, obs.TraceContext{}, []byte("\x01\x00\x00\x00g\x04\x00\x00\x00dist"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := AppendFrame(nil, respBit|uint8(StatusOK), 42, []byte(`{"value":7}`))
+	resp, err := AppendFrame(nil, respBit|uint8(StatusOK), 42, obs.TraceContext{}, []byte{0x07})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tc := obs.TraceContext{Hi: 0x0123456789abcdef, Lo: 0xfedcba9876543210, Parent: 0x1122334455667788, Hop: 2}
-	traced, err := AppendTracedFrame(nil, uint8(OpQueryB), 43, tc, []byte{0x01, 0x02, 0x03})
+	traced, err := AppendFrame(nil, uint8(OpQueryB), 43, tc, []byte{0x01, 0x02, 0x03})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func fuzzSeeds(t testing.TB) map[string][]byte {
 		"bad-magic":        mut(0, 0xff),
 		"future-version":   mut(2, 0x07),
 		"bad-kind":         mut(3, 0x55),
-		"flipped-payload":  mut(HeaderLen+2, 0x10),
+		"flipped-payload":  mut(HeaderLen+traceLen+2, 0x10),
 		"flipped-crc":      mut(len(valid)-1, 0x01),
 		"oversized-length": oversize,
 		"two-frames":       append(append([]byte(nil), valid...), resp...),
@@ -106,20 +106,14 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 			return
 		}
-		if n < HeaderLen+crcLen || n > len(data) {
+		if n < HeaderLen+traceLen+crcLen || n > len(data) {
 			t.Fatalf("consumed %d bytes of %d", n, len(data))
 		}
 		if len(frame.Payload) > MaxPayload {
 			t.Fatalf("payload %d exceeds cap", len(frame.Payload))
 		}
-		// decode∘encode is the identity on the consumed prefix, through
-		// the encoder matching the frame's version.
-		var re []byte
-		if frame.Version == VersionTrace {
-			re, err = AppendTracedFrame(nil, frame.Kind, frame.ID, frame.Trace, frame.Payload)
-		} else {
-			re, err = AppendFrame(nil, frame.Kind, frame.ID, frame.Payload)
-		}
+		// decode∘encode is the identity on the consumed prefix.
+		re, err := AppendFrame(nil, frame.Kind, frame.ID, frame.Trace, frame.Payload)
 		if err != nil {
 			t.Fatalf("decoded frame failed to re-encode: %v", err)
 		}

@@ -14,7 +14,7 @@ func TestDialFailureIsUnavailable(t *testing.T) {
 	defer p.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	_, _, err := p.Do(ctx, OpQuery, []byte("x"))
+	_, _, err := p.Do(ctx, OpQueryB, []byte("x"))
 	if !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("dial failure not typed Unavailable: %v", err)
 	}
@@ -62,7 +62,7 @@ func TestHealthSweepRemovesDeadConns(t *testing.T) {
 	// fast (redial refused) rather than hanging on a dead socket.
 	dctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
-	if _, _, err := p.Do(dctx, OpQuery, []byte("x")); !errors.Is(err, ErrUnavailable) {
+	if _, _, err := p.Do(dctx, OpQueryB, []byte("x")); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("post-sweep Do: %v", err)
 	}
 }
@@ -96,7 +96,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	errCh := make(chan error, 1)
 	go func() {
 		defer wg.Done()
-		st, body, err := p.Do(ctx, OpQuery, []byte("block:drained"))
+		st, body, err := p.Do(ctx, OpQueryB, []byte("block:drained"))
 		if err != nil {
 			errCh <- err
 			return
@@ -144,7 +144,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	defer p2.Close()
 	dctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 	defer cancel()
-	if _, _, err := p2.Do(dctx, OpQuery, []byte("x")); !errors.Is(err, ErrUnavailable) {
+	if _, _, err := p2.Do(dctx, OpQueryB, []byte("x")); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("post-shutdown dial: %v", err)
 	}
 }
@@ -159,7 +159,7 @@ func TestShutdownTimeoutFallsBackToClose(t *testing.T) {
 	defer p.Close()
 	ctx := context.Background()
 
-	go p.Do(ctx, OpQuery, []byte("block:never"))
+	go p.Do(ctx, OpQueryB, []byte("block:never"))
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.Stats().FramesIn < 1 {
 		if time.Now().After(deadline) {

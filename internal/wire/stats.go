@@ -42,7 +42,7 @@ type Stats struct {
 	// Coalesced batch shape: how many multi-query batch frames were
 	// formed, the total singleton queries folded into them, and the
 	// largest fold observed. Bumped by whichever side observes the fold
-	// (the client's micro-coalescer, or the server decoding OpBatch).
+	// (the client's micro-coalescer, or the server decoding OpBatchB).
 	CoalescedBatches int64 `json:"coalesced_batches"`
 	CoalescedQueries int64 `json:"coalesced_queries"`
 	CoalescedMax     int64 `json:"coalesced_max"`

@@ -78,12 +78,12 @@ func TestPoolEchoTCPAndUnix(t *testing.T) {
 		if err := p.Ping(ctx); err != nil {
 			t.Fatalf("%s: %v", tc.network, err)
 		}
-		status, payload, err := p.Do(ctx, OpQuery, []byte("hello"))
+		status, payload, err := p.Do(ctx, OpQueryB, []byte("hello"))
 		if err != nil || status != StatusOK || string(payload) != "hello" {
 			t.Fatalf("%s: echo = (%v, %q, %v)", tc.network, status, payload, err)
 		}
 		p.Close()
-		if _, _, err := p.Do(ctx, OpQuery, []byte("x")); !errors.Is(err, ErrPoolClosed) {
+		if _, _, err := p.Do(ctx, OpQueryB, []byte("x")); !errors.Is(err, ErrPoolClosed) {
 			t.Fatalf("%s: after close err = %v, want ErrPoolClosed", tc.network, err)
 		}
 	}
@@ -109,7 +109,7 @@ func TestPipeliningOutOfOrder(t *testing.T) {
 			sleep := time.Duration(n-i) * 20 * time.Millisecond
 			want := "r" + strconv.Itoa(i)
 			payload := fmt.Sprintf("sleep:%s:%s", sleep, want)
-			status, resp, err := p.Do(ctx, OpQuery, []byte(payload))
+			status, resp, err := p.Do(ctx, OpQueryB, []byte(payload))
 			if err != nil || status != StatusOK || string(resp) != want {
 				errs[i] = fmt.Errorf("req %d: (%v, %q, %v)", i, status, resp, err)
 				return
@@ -166,7 +166,7 @@ func TestCancellationFailsExactlyThoseRequests(t *testing.T) {
 				ctx = cancelCtx
 			}
 			started <- struct{}{}
-			_, resp, err := p.Do(ctx, OpQuery, []byte("block:done"))
+			_, resp, err := p.Do(ctx, OpQueryB, []byte("block:done"))
 			if err == nil && string(resp) != "done" {
 				err = fmt.Errorf("bad payload %q", resp)
 			}
@@ -193,7 +193,7 @@ func TestCancellationFailsExactlyThoseRequests(t *testing.T) {
 	}
 
 	// The connection survives cancellations: an immediate follow-up works.
-	status, resp, err := p.Do(context.Background(), OpQuery, []byte("after"))
+	status, resp, err := p.Do(context.Background(), OpQueryB, []byte("after"))
 	if err != nil || status != StatusOK || string(resp) != "after" {
 		t.Fatalf("post-cancel echo = (%v, %q, %v)", status, resp, err)
 	}
@@ -219,7 +219,7 @@ func TestConnDeathFailsInFlightAndPoolRedials(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = p.Do(context.Background(), OpQuery, []byte("block:x"))
+			_, _, errs[i] = p.Do(context.Background(), OpQueryB, []byte("block:x"))
 		}(i)
 	}
 	time.Sleep(50 * time.Millisecond) // all n in flight
@@ -240,7 +240,7 @@ func TestConnDeathFailsInFlightAndPoolRedials(t *testing.T) {
 	srv2 := NewServer(&echoHandler{})
 	go srv2.Serve(ln)
 	defer srv2.Close()
-	status, resp, err := p.Do(context.Background(), OpQuery, []byte("reborn"))
+	status, resp, err := p.Do(context.Background(), OpQueryB, []byte("reborn"))
 	if err != nil || status != StatusOK || string(resp) != "reborn" {
 		t.Fatalf("post-death echo = (%v, %q, %v)", status, resp, err)
 	}
@@ -287,7 +287,7 @@ func TestWriteCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p.Do(ctx, OpQuery, []byte(strconv.Itoa(i)))
+			p.Do(ctx, OpQueryB, []byte(strconv.Itoa(i)))
 		}(i)
 	}
 	wg.Wait()
