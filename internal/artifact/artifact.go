@@ -32,6 +32,7 @@ import (
 	"context"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"planarflow/internal/bdd"
@@ -128,6 +129,13 @@ type state struct {
 	primals map[labelKey]*slot[*primallabel.Labeling]
 
 	build *ledger.Ledger // cumulative build cost of every substrate built
+
+	// gen counts substrate publishes (a build, or a snapshot seed). It
+	// moves exactly when Stats would report more, so a caller that
+	// accounted the bundle at one generation can skip Stats until it
+	// changes. Bumped under mu, in the same critical section as the
+	// publish.
+	gen atomic.Uint64
 
 	// defaultLeaf caches bdd.DefaultLeafLimit(g), which costs two BFS
 	// traversals — deterministic per graph, and on every query's path via
@@ -245,6 +253,7 @@ func runBuild[T any](p *Prepared, s *slot[T], ch chan struct{}, kind string,
 		s.inflight = nil
 		if completed && err == nil {
 			s.val, s.led, s.bytes, s.ready = v, led, bytes, true
+			p.st.gen.Add(1)
 		}
 		close(ch)
 		p.st.mu.Unlock()
@@ -384,6 +393,12 @@ func (p *Prepared) BuildLedger() *ledger.Ledger {
 	snap.Merge(p.st.build)
 	return snap
 }
+
+// Generation returns the bundle's publish counter: it advances every time
+// a substrate publishes, so an unchanged generation means Stats would
+// report exactly what it did at that generation. Read it before Stats:
+// a Stats call then reflects at least the generation read.
+func (p *Prepared) Generation() uint64 { return p.st.gen.Load() }
 
 // SubstrateStats describes one built substrate: its identity and the two
 // costs the serving layer budgets by — estimated resident bytes and the

@@ -2,6 +2,7 @@ package artifact
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"planarflow/internal/ledger"
@@ -80,5 +81,58 @@ func TestExportImportEmpty(t *testing.T) {
 	}
 	if n := len(q.Stats().Substrates); n != 0 {
 		t.Fatalf("empty import produced %d substrates", n)
+	}
+}
+
+// TestGenerationTracksPublishes: the generation moves with every
+// substrate a build or an import publishes, and with nothing else —
+// cache hits, canceled builds and skipped import sections leave it, so
+// a reader that accounted Stats at one generation can trust it until it
+// moves.
+func TestGenerationTracksPublishes(t *testing.T) {
+	g := planar.WithRandomWeights(planar.Grid(5, 5), planar.NewRand(4), 1, 9, 1, 16)
+	p := New(g)
+	gens := func(want uint64) {
+		t.Helper()
+		if got := p.Generation(); got != want {
+			t.Fatalf("generation %d, want %d (%d substrates)", got, want, len(p.Stats().Substrates))
+		}
+	}
+	gens(0)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := p.WithContext(ctx).DualLabels(Undirected, 0, ledger.New()); err == nil {
+		t.Fatal("canceled build succeeded")
+	}
+	gens(0)
+	if _, err := p.DualLabels(Undirected, 0, ledger.New()); err != nil { // tree + labeling
+		t.Fatal(err)
+	}
+	gens(2)
+	if _, err := p.DualLabels(Undirected, 0, ledger.New()); err != nil { // hit
+		t.Fatal(err)
+	}
+	gens(2)
+	if _, err := p.PrimalLabels(Undirected, 0, ledger.New()); err != nil { // labeling only
+		t.Fatal(err)
+	}
+	gens(3)
+
+	var snap bytes.Buffer
+	if err := p.Export(&snap); err != nil {
+		t.Fatal(err)
+	}
+	fresh := New(g)
+	if err := fresh.ImportInto(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.Generation(); got != 3 {
+		t.Fatalf("import of 3 substrates: generation %d", got)
+	}
+	if err := fresh.ImportInto(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if got := fresh.Generation(); got != 3 {
+		t.Fatalf("re-import into occupied slots moved the generation to %d", got)
 	}
 }

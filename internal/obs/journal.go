@@ -85,7 +85,7 @@ func (j *Journal) Record(e Event) {
 func (j *Journal) Recent() []Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return drain(j.ring, j.at)
+	return drain(j.ring, j.at, func(e Event) Event { return e })
 }
 
 // Total returns how many events have ever been recorded.

@@ -181,29 +181,69 @@ type SpanView struct {
 	PhasesMS    map[string]float64 `json:"phases_ms,omitempty"`
 }
 
-// view freezes a finished span. Only nonzero phases are materialized.
-func view(s *Span, total time.Duration, errMsg string) SpanView {
-	v := SpanView{
-		ID: s.ID, Transport: s.Transport, Family: s.Family,
-		Graph: s.Graph, Route: s.Route, Err: errMsg,
-		TraceID:     s.TraceID(),
-		Hop:         int(s.Hop),
-		StartUnixMS: s.Start.UnixMilli(),
-		TotalMS:     float64(total.Microseconds()) / 1000,
+// spanRecord is what the tracer rings hold: a fixed-size snapshot of a
+// finished span, taken at Finish with no formatting and no allocation
+// (strings and the notes slice header are shared, not copied). view
+// formats it into a SpanView only when a /tracez read asks.
+type spanRecord struct {
+	id, spanID       uint64
+	traceHi, traceLo uint64
+	parent           uint64
+	hop              uint8
+	transport        string
+	family           string
+	graph            string
+	route            string
+	err              string
+	notes            []string
+	startUnixMS      int64
+	total            time.Duration
+	phases           [NumPhases]int64 // ns
+}
+
+// record snapshots s as it stands at Finish.
+func record(s *Span, total time.Duration, errMsg string) spanRecord {
+	r := spanRecord{
+		id: s.ID, spanID: s.SpanID,
+		traceHi: s.TraceHi, traceLo: s.TraceLo, parent: s.Parent, hop: s.Hop,
+		transport: s.Transport, family: s.Family, graph: s.Graph, route: s.Route,
+		err: errMsg, startUnixMS: s.Start.UnixMilli(), total: total,
 	}
-	if s.SpanID != 0 {
-		v.SpanID = fmt.Sprintf("%016x", s.SpanID)
-	}
-	if s.Parent != 0 {
-		v.ParentID = fmt.Sprintf("%016x", s.Parent)
-	}
+	// Annotate only appends, so the notes present now never change: the
+	// slice header alone is a snapshot.
 	s.noteMu.Lock()
-	if len(s.notes) > 0 {
-		v.Notes = append([]string(nil), s.notes...)
-	}
+	r.notes = s.notes
 	s.noteMu.Unlock()
+	for p := range r.phases {
+		r.phases[p] = s.phases[p].Load()
+	}
+	return r
+}
+
+// view formats a finished span's record. Only nonzero phases are
+// materialized.
+func (r spanRecord) view() SpanView {
+	v := SpanView{
+		ID: r.id, Transport: r.transport, Family: r.family,
+		Graph: r.graph, Route: r.route, Err: r.err,
+		Hop:         int(r.hop),
+		StartUnixMS: r.startUnixMS,
+		TotalMS:     float64(r.total.Microseconds()) / 1000,
+	}
+	if r.traceHi|r.traceLo != 0 {
+		v.TraceID = TraceContext{Hi: r.traceHi, Lo: r.traceLo}.TraceID()
+	}
+	if r.spanID != 0 {
+		v.SpanID = fmt.Sprintf("%016x", r.spanID)
+	}
+	if r.parent != 0 {
+		v.ParentID = fmt.Sprintf("%016x", r.parent)
+	}
+	if len(r.notes) > 0 {
+		v.Notes = append([]string(nil), r.notes...)
+	}
 	for p := Phase(0); p < NumPhases; p++ {
-		if ns := s.phases[p].Load(); ns > 0 {
+		if ns := r.phases[p]; ns > 0 {
 			if v.PhasesMS == nil {
 				v.PhasesMS = make(map[string]float64, int(NumPhases))
 			}
@@ -251,12 +291,13 @@ func FilterSpans(in []SpanView, f SpanFilter) []SpanView {
 }
 
 // Tracer keeps the most recent finished spans in a bounded ring and the
-// most recent slow ones (total >= threshold) in a second ring.
+// most recent slow ones (total >= threshold) in a second ring. The rings
+// hold records; Recent and Slow format them on read.
 type Tracer struct {
 	mu        sync.Mutex
-	recent    []SpanView
+	recent    []spanRecord
 	recentAt  int
-	slow      []SpanView
+	slow      []spanRecord
 	slowAt    int
 	threshold time.Duration
 	slowTotal int64
@@ -280,8 +321,8 @@ func NewTracer(ring int, threshold time.Duration) *Tracer {
 		threshold = DefaultSlowThreshold
 	}
 	return &Tracer{
-		recent:    make([]SpanView, 0, ring),
-		slow:      make([]SpanView, 0, ring),
+		recent:    make([]spanRecord, 0, ring),
+		slow:      make([]spanRecord, 0, ring),
 		threshold: threshold,
 	}
 }
@@ -298,9 +339,10 @@ func (t *Tracer) SlowCount() int64 { return atomic.LoadInt64(&t.slowTotal) }
 func (t *Tracer) Dropped() int64 { return atomic.LoadInt64(&t.dropped) }
 
 // Finish records a completed span and reports whether it was slow. The
-// span must not be marked after Finish.
+// record is a snapshot: marks or notes added to s after Finish do not
+// reach it.
 func (t *Tracer) Finish(s *Span, total time.Duration, errMsg string) bool {
-	v := view(s, total, errMsg)
+	v := record(s, total, errMsg)
 	slow := total >= t.threshold
 	overwrote := 0
 	t.mu.Lock()
@@ -342,24 +384,24 @@ func push[T any](ring *[]T, at, size int, v T) (int, bool) {
 func (t *Tracer) Recent() []SpanView {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return drain(t.recent, t.recentAt)
+	return drain(t.recent, t.recentAt, spanRecord.view)
 }
 
 // Slow returns the retained slow spans, newest first.
 func (t *Tracer) Slow() []SpanView {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return drain(t.slow, t.slowAt)
+	return drain(t.slow, t.slowAt, spanRecord.view)
 }
 
-// drain copies a ring out newest-first. While the ring is still filling,
-// the newest entry is the last appended; after wrapping, it is the one
-// just before the write cursor.
-func drain[T any](ring []T, at int) []T {
-	out := make([]T, 0, len(ring))
+// drain converts a ring out newest-first. While the ring is still
+// filling, the newest entry is the last appended; after wrapping, it is
+// the one just before the write cursor.
+func drain[T, V any](ring []T, at int, conv func(T) V) []V {
+	out := make([]V, 0, len(ring))
 	if len(ring) < cap(ring) {
 		for i := len(ring) - 1; i >= 0; i-- {
-			out = append(out, ring[i])
+			out = append(out, conv(ring[i]))
 		}
 		return out
 	}
@@ -368,7 +410,7 @@ func drain[T any](ring []T, at int) []T {
 		for idx < 0 {
 			idx += len(ring)
 		}
-		out = append(out, ring[idx])
+		out = append(out, conv(ring[idx]))
 	}
 	return out
 }

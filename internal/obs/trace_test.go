@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -102,5 +103,128 @@ func TestPhaseNames(t *testing.T) {
 	}
 	if Phase(-1).String() != "unknown" || NumPhases.String() != "unknown" {
 		t.Fatal("out-of-range phases must stringify as unknown")
+	}
+}
+
+// eagerView is the reference formatting: the SpanView a finished span
+// reads as, built straight from the live span the way the tracer once
+// did at Finish. The rings must serve exactly this, formatted later.
+func eagerView(s *Span, total time.Duration, errMsg string) SpanView {
+	v := SpanView{
+		ID: s.ID, Transport: s.Transport, Family: s.Family,
+		Graph: s.Graph, Route: s.Route, Err: errMsg,
+		TraceID:     s.TraceID(),
+		Hop:         int(s.Hop),
+		StartUnixMS: s.Start.UnixMilli(),
+		TotalMS:     float64(total.Microseconds()) / 1000,
+	}
+	if s.SpanID != 0 {
+		v.SpanID = fmt.Sprintf("%016x", s.SpanID)
+	}
+	if s.Parent != 0 {
+		v.ParentID = fmt.Sprintf("%016x", s.Parent)
+	}
+	s.noteMu.Lock()
+	if len(s.notes) > 0 {
+		v.Notes = append([]string(nil), s.notes...)
+	}
+	s.noteMu.Unlock()
+	for p := Phase(0); p < NumPhases; p++ {
+		if ns := s.phases[p].Load(); ns > 0 {
+			if v.PhasesMS == nil {
+				v.PhasesMS = make(map[string]float64, int(NumPhases))
+			}
+			v.PhasesMS[p.String()] = float64(ns) / 1e6
+		}
+	}
+	return v
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestDeferredViewMatchesEager finishes fully populated spans (trace,
+// parent, hop, notes, error, several phases; every other one slow) into
+// small rings until both wrap, and checks Recent and Slow serve the
+// JSON the span read as at Finish — also after the live spans were
+// marked and annotated again.
+func TestDeferredViewMatchesEager(t *testing.T) {
+	const ring = 3
+	tr := NewTracer(ring, 10*time.Millisecond)
+	var wantRecent, wantSlow []string // oldest first
+	var spans []*Span
+	for i := 1; i <= 8; i++ {
+		s := NewSpan(uint64(i), "fleet")
+		s.Family, s.Graph, s.Route = "dualsssp", fmt.Sprintf("g%d", i), "fast"
+		s.SetTrace(TraceContext{Hi: 0xabc0 + uint64(i), Lo: 0xdef, Parent: 0x1234500 + uint64(i), Hop: uint8(i % 3)})
+		s.Annotate("member", fmt.Sprintf("m%d", i))
+		s.Annotate("attempt", "1")
+		s.Add(PhaseDecode, time.Duration(i)*1500*time.Nanosecond)
+		s.Add(PhaseExec, time.Duration(i)*time.Millisecond+123*time.Microsecond)
+		s.Add(PhaseEncode, 7*time.Microsecond)
+		total := time.Duration(i)*4*time.Millisecond + 456*time.Microsecond
+		errMsg := ""
+		if i%2 == 0 {
+			errMsg = fmt.Sprintf("store: unknown graph %q", s.Graph)
+		}
+		want := mustJSON(t, eagerView(s, total, errMsg))
+		if slow := tr.Finish(s, total, errMsg); slow != (total >= 10*time.Millisecond) {
+			t.Fatalf("span %d: slow = %v at %v", i, slow, total)
+		}
+		wantRecent = append(wantRecent, want)
+		if total >= 10*time.Millisecond {
+			wantSlow = append(wantSlow, want)
+		}
+		spans = append(spans, s)
+	}
+	for _, s := range spans {
+		s.Add(PhaseExec, time.Second)
+		s.Add(PhaseWrite, time.Second)
+		s.Annotate("late", "1")
+	}
+	check := func(name string, got []SpanView, want []string) {
+		t.Helper()
+		if len(want) > ring {
+			want = want[len(want)-ring:]
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s kept %d spans, want %d", name, len(got), len(want))
+		}
+		for i, v := range got {
+			if g, w := mustJSON(t, v), want[len(want)-1-i]; g != w {
+				t.Fatalf("%s[%d]:\n got %s\nwant %s", name, i, g, w)
+			}
+		}
+	}
+	check("recent", tr.Recent(), wantRecent)
+	check("slow", tr.Slow(), wantSlow)
+	if len(wantSlow) <= ring {
+		t.Fatalf("slow ring never wrapped (%d slow spans)", len(wantSlow))
+	}
+	if want := int64(8 - ring + len(wantSlow) - ring); tr.Dropped() != want {
+		t.Fatalf("dropped %d, want %d", tr.Dropped(), want)
+	}
+}
+
+// BenchmarkTracerFinish is the per-request tracer cost: one finished
+// span recorded into a wrapped ring.
+func BenchmarkTracerFinish(b *testing.B) {
+	tr := NewTracer(DefaultTraceRing, time.Hour)
+	s := NewSpan(1, "wire")
+	s.Family, s.Graph, s.Route = "dualsssp", "g", "fast"
+	s.SetTrace(NewTrace())
+	s.Add(PhaseDecode, time.Microsecond)
+	s.Add(PhaseAcquire, time.Microsecond)
+	s.Add(PhaseExec, 2*time.Microsecond)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Finish(s, 5*time.Microsecond, "")
 	}
 }

@@ -14,8 +14,9 @@
 // artifact bundle (its PreparedGraph). The registered Graph itself is
 // never dropped — an evicted graph rebuilds its substrates on the next
 // query. Footprints come from PreparedGraph.Stats (estimated bytes per
-// substrate) and are re-accounted after every query, since substrates
-// build lazily and a query can grow the bundle. Eviction removes
+// substrate) and are re-accounted after a query whenever the bundle's
+// publish generation moved, since substrates build lazily and a query
+// can grow the bundle. Eviction removes
 // least-recently-used unpinned bundles until the total accounted
 // footprint fits Config.MaxBytes; bundles pinned by in-flight queries are
 // never evicted (the store may transiently exceed the budget while every
@@ -48,6 +49,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"planarflow"
@@ -181,10 +183,13 @@ type entry struct {
 	elem *list.Element             // position in the LRU list when resident
 	pins int                       // in-flight queries holding pg
 
-	// Accounting of the current resident bundle (re-read after queries).
+	// Accounting of the current resident bundle, as of bundle generation
+	// gen: release re-reads Stats only when the generation has moved.
+	// gen is written under the store lock and read without it as a hint.
 	bytes      int64
 	substrates int
 	rounds     int64
+	gen        atomic.Uint64
 
 	hits, misses, builds, evictions, buildRounds int64
 	lastAccessMS                                 int64 // Unix ms of the latest acquire
@@ -350,13 +355,7 @@ func (s *Store) acquire(id string) (*entry, *planarflow.PreparedGraph, bool, err
 // the spill tier holds a valid snapshot, empty bundle otherwise.
 func (s *Store) residentLocked(e *entry) error {
 	if pg := s.restoreLocked(e); pg != nil {
-		e.pg = pg
-		e.elem = s.lru.PushFront(e)
-		// Restored substrates are resident right now: account them on
-		// arrival (release will only ever grow these monotonically).
-		st := pg.Stats()
-		e.bytes, e.substrates, e.rounds = st.Bytes, len(st.Substrates), st.BuildRounds
-		s.bytes += st.Bytes
+		s.installLocked(e, pg)
 		e.snapRestores++
 		s.snapRestores++
 		return nil
@@ -365,9 +364,22 @@ func (s *Store) residentLocked(e *entry) error {
 	if err != nil {
 		return err
 	}
+	s.installLocked(e, pg)
+	return nil
+}
+
+// installLocked makes pg e's resident bundle and accounts what it holds
+// on arrival — a restored bundle's substrates are resident right now —
+// at the generation read before the Stats call. release then only ever
+// grows these, and only when the generation moves.
+func (s *Store) installLocked(e *entry, pg *planarflow.PreparedGraph) {
 	e.pg = pg
 	e.elem = s.lru.PushFront(e)
-	return nil
+	gen := pg.Generation()
+	st := pg.Stats()
+	e.bytes, e.substrates, e.rounds = st.Bytes, len(st.Substrates), st.BuildRounds
+	e.gen.Store(gen)
+	s.bytes += st.Bytes
 }
 
 // restoreLocked attempts a disk-tier restore for e; nil means no usable
@@ -400,19 +412,30 @@ func (s *Store) restoreLocked(e *entry) *planarflow.PreparedGraph {
 }
 
 // release re-accounts the bundle's footprint after a query, unpins it,
-// and evicts if over budget. The Stats snapshot happens outside the store
-// lock; accounting applies only if the entry still holds the same bundle
-// (a bundle evicted mid-query stops being accounted the moment it is
-// dropped — its remaining growth belongs to the dying reference).
+// and evicts if over budget. The footprint is re-read only when the
+// bundle's generation moved since the entry last accounted it (a warm
+// query publishes nothing, so it skips Stats entirely). The Stats
+// snapshot happens outside the store lock; accounting applies only if
+// the entry still holds the same bundle (a bundle evicted mid-query stops
+// being accounted the moment it is dropped — its remaining growth belongs
+// to the dying reference).
 func (s *Store) release(e *entry, pg *planarflow.PreparedGraph) {
-	st := pg.Stats()
+	gen := pg.Generation()
+	moved := gen != e.gen.Load()
+	var st planarflow.PreparedStats
+	if moved {
+		st = pg.Stats()
+	}
 	s.mu.Lock()
 	e.pins--
 	// A bundle only grows, so each accounting field advances monotonically:
 	// a release whose snapshot raced a concurrent build (and is staler than
 	// what another release already recorded) must not regress the recorded
 	// values, or the next release would re-count the difference.
-	if e.pg == pg {
+	if moved && e.pg == pg {
+		if gen > e.gen.Load() {
+			e.gen.Store(gen)
+		}
 		if st.Bytes > e.bytes {
 			s.bytes += st.Bytes - e.bytes
 			e.bytes = st.Bytes
@@ -642,11 +665,7 @@ func (s *Store) TryRestore(id string) (bool, error) {
 		s.mu.Unlock()
 		return false, nil
 	}
-	e.pg = pg
-	e.elem = s.lru.PushFront(e)
-	st := pg.Stats()
-	e.bytes, e.substrates, e.rounds = st.Bytes, len(st.Substrates), st.BuildRounds
-	s.bytes += st.Bytes
+	s.installLocked(e, pg)
 	e.snapRestores++
 	s.snapRestores++
 	e.lastAccessMS = time.Now().UnixMilli()
@@ -676,11 +695,7 @@ func (s *Store) SnapshotTo(id string, w io.Writer) (bool, error) {
 			s.mu.Unlock()
 			return false, nil
 		}
-		e.pg = pg
-		e.elem = s.lru.PushFront(e)
-		st := pg.Stats()
-		e.bytes, e.substrates, e.rounds = st.Bytes, len(st.Substrates), st.BuildRounds
-		s.bytes += st.Bytes
+		s.installLocked(e, pg)
 		e.snapRestores++
 		s.snapRestores++
 	}
@@ -737,11 +752,7 @@ func (s *Store) InstallSnapshot(id string, data []byte) (bool, error) {
 		s.mu.Unlock()
 		return false, nil
 	}
-	e.pg = pg
-	e.elem = s.lru.PushFront(e)
-	st := pg.Stats()
-	e.bytes, e.substrates, e.rounds = st.Bytes, len(st.Substrates), st.BuildRounds
-	s.bytes += st.Bytes
+	s.installLocked(e, pg)
 	e.peerRestores++
 	s.peerRestores++
 	e.lastAccessMS = time.Now().UnixMilli()

@@ -114,6 +114,14 @@ func (p *PreparedGraph) Stats() PreparedStats {
 	return st
 }
 
+// Generation returns a counter that advances every time a substrate
+// publishes (a build completes or a snapshot restore seeds one). Stats
+// is a pure function of the generation, so a serving layer that
+// accounted the bundle at generation g can skip Stats while Generation
+// still reads g. Read it before Stats, which then reflects at least that
+// generation.
+func (p *PreparedGraph) Generation() uint64 { return p.art.Generation() }
+
 // BuildRounds reports the cumulative cost of every substrate built so far
 // (each BDD and labeling counted once, however many queries shared it).
 func (p *PreparedGraph) BuildRounds() Rounds {
