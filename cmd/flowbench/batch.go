@@ -80,19 +80,19 @@ func batchWorkload(bc batchCfg, seed int64, ids []string, n, faces int) []batchG
 // batchDaemon spins up one fresh daemon loaded with the working set.
 // unit is the measured per-bundle footprint the budget is denominated in
 // (computed once per repeat by batchBench and shared by both paths).
-func batchDaemon(bc batchCfg, seed, unit int64) (cl *flowd.Client, shutdown func(), err error) {
+func batchDaemon(bc batchCfg, seed, unit int64) (cl *flowd.Client, st *store.Store, shutdown func(), err error) {
 	tc := trafficCfg{graphs: bc.graphs, side: bc.side, resident: bc.resident, skew: bc.skew}
-	st := store.New(store.Config{MaxBytes: int64(bc.resident)*unit + unit/2})
+	st = store.New(store.Config{MaxBytes: int64(bc.resident)*unit + unit/2})
 	hsrv := httptest.NewServer(flowd.NewServer(st))
 	cl = flowd.NewClient(hsrv.URL).WithHTTPClient(hsrv.Client())
 	ctx := context.Background()
 	for i := 0; i < bc.graphs; i++ {
 		if _, rerr := cl.Register(ctx, fmt.Sprintf("g%02d", i), trafficSpec(tc, seed, i)); rerr != nil {
 			hsrv.Close()
-			return nil, nil, rerr
+			return nil, nil, nil, rerr
 		}
 	}
-	return cl, hsrv.Close, nil
+	return cl, st, hsrv.Close, nil
 }
 
 type batchPathResult struct {
@@ -107,7 +107,7 @@ type batchPathResult struct {
 
 // runBatchSingle serves the workload as one request per query.
 func runBatchSingle(bc batchCfg, seed, unit int64, groups []batchGroup) (*batchPathResult, error) {
-	cl, shutdown, err := batchDaemon(bc, seed, unit)
+	cl, st, shutdown, err := batchDaemon(bc, seed, unit)
 	if err != nil {
 		return nil, err
 	}
@@ -134,20 +134,17 @@ func runBatchSingle(bc batchCfg, seed, unit int64, groups []batchGroup) (*batchP
 	}
 	wall := time.Since(begin)
 	res.phases = snapPhases().meansSince(phasesBefore)
-	stats, err := cl.Stats(ctx)
-	if err != nil {
-		return nil, err
-	}
+	stats := st.Totals()
 	res.qps = float64(len(res.values)) / wall.Seconds()
 	res.p50, res.p99 = quantilesMS(hist)
-	res.hitRate, res.evictions = stats.HitRate, stats.Store.Evictions
+	res.hitRate, res.evictions = stats.HitRate(), stats.Evictions
 	res.wallMS = float64(wall.Microseconds()) / 1000
 	return res, nil
 }
 
 // runBatchBatched serves the workload as one /v1/batch request per group.
 func runBatchBatched(bc batchCfg, seed, unit int64, groups []batchGroup) (*batchPathResult, error) {
-	cl, shutdown, err := batchDaemon(bc, seed, unit)
+	cl, st, shutdown, err := batchDaemon(bc, seed, unit)
 	if err != nil {
 		return nil, err
 	}
@@ -175,13 +172,10 @@ func runBatchBatched(bc batchCfg, seed, unit int64, groups []batchGroup) (*batch
 	}
 	wall := time.Since(begin)
 	res.phases = snapPhases().meansSince(phasesBefore)
-	stats, err := cl.Stats(ctx)
-	if err != nil {
-		return nil, err
-	}
+	stats := st.Totals()
 	res.qps = float64(len(res.values)) / wall.Seconds()
 	res.p50, res.p99 = quantilesMS(hist)
-	res.hitRate, res.evictions = stats.HitRate, stats.Store.Evictions
+	res.hitRate, res.evictions = stats.HitRate(), stats.Evictions
 	res.wallMS = float64(wall.Microseconds()) / 1000
 	return res, nil
 }

@@ -303,7 +303,7 @@ func runTraffic(tc trafficCfg, seed int64, clients int, mix trafficMix) (*traffi
 
 	// qcl carries the measured query traffic: the HTTP client itself, or
 	// the same client with queries rerouted over the binary transport
-	// (control plane — register, statsz — stays on HTTP either way).
+	// (control plane — register — stays on HTTP either way).
 	qcl := cl
 	if mix.wire {
 		wln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -313,7 +313,7 @@ func runTraffic(tc trafficCfg, seed int64, clients int, mix trafficMix) (*traffi
 		go fsrv.Wire().Serve(wln)
 		defer fsrv.Wire().Close()
 		wc := flowd.NewWireClient("tcp", wln.Addr().String(),
-			flowd.WireOptions{Coalesce: true, CoalesceMax: flowd.MaxBatchQueries})
+			flowd.WireOptions{Coalesce: true})
 		defer wc.Close()
 		qcl = cl.WithWireTransport(wc)
 	}
@@ -443,10 +443,7 @@ func runTraffic(tc trafficCfg, seed int64, clients int, mix trafficMix) (*traffi
 	if err != nil {
 		return nil, err
 	}
-	stats, err := cl.Stats(ctx)
-	if err != nil {
-		return nil, err
-	}
+	stats := st.Totals()
 
 	p50, p99 := quantilesMS(hist)
 	res := &trafficResult{
@@ -454,9 +451,9 @@ func runTraffic(tc trafficCfg, seed int64, clients int, mix trafficMix) (*traffi
 		p50:       p50,
 		p99:       p99,
 		phases:    phases,
-		hitRate:   stats.HitRate,
+		hitRate:   stats.HitRate(),
 		wallMS:    float64(wall.Microseconds()) / 1000,
-		evictions: stats.Store.Evictions,
+		evictions: stats.Evictions,
 	}
 	evictOK := res.evictions > 0 // the working set really exceeded the budget
 	if mix.resident {

@@ -27,9 +27,10 @@
 // demand (e.g. before a planned restart).
 //
 // Endpoints: POST /v1/graphs, GET /v1/graphs, POST /v1/query,
-// POST /v1/batch, POST /v1/snapshot, GET /statsz, GET /healthz,
-// GET /metricsz (Prometheus text), GET /tracez (recent + slow spans),
-// GET /versionz — see internal/flowd for the protocol.
+// POST /v1/batch, POST /v1/snapshot, GET /healthz, GET /metricsz
+// (Prometheus text: every store, traffic and transport counter),
+// GET /tracez (recent + slow spans), GET /versionz — see internal/flowd
+// for the protocol.
 //
 // Observability flags: -log-level sets the structured-log threshold
 // (debug logs every request), -slow-query-ms sets the slow-query log
@@ -233,14 +234,29 @@ func serveLoopback(srv *flowd.Server) (*flowd.Client, func(), error) {
 	return flowd.NewClient("http://" + ln.Addr().String()), func() { hs.Close() }, nil
 }
 
+// scrapeMetrics reads the daemon's /metricsz through the strict
+// exposition parser (any malformed line is an error) as series → value.
+func scrapeMetrics(ctx context.Context, c *flowd.Client) (map[string]float64, error) {
+	raw, err := c.Metricsz(ctx)
+	if err != nil {
+		return nil, err
+	}
+	series, err := obs.ParseExposition(raw)
+	if err != nil {
+		return nil, fmt.Errorf("metricsz: %w", err)
+	}
+	return series, nil
+}
+
 // runSelfcheck is the end-to-end smoke path: serve on a loopback port,
 // drive the daemon through its own client (register, one query per
-// family, batch, statsz), validate the telemetry plane (/metricsz
-// exposition well-formedness and counter monotonicity across a query
-// burst, a slow span with build-phase attribution on /tracez), then
-// persist the warm working set with POST /v1/snapshot, restart onto a
-// fresh store over the same snapshot directory, and verify the restored
-// daemon answers every family bit-identically without rebuilding.
+// family, batch, store and family counters off /metricsz), validate
+// the telemetry plane (/metricsz exposition well-formedness and counter
+// monotonicity across a query burst, a slow span with build-phase
+// attribution on /tracez), then persist the warm working set with
+// POST /v1/snapshot, restart onto a fresh store over the same snapshot
+// directory, and verify the restored daemon answers every family
+// bit-identically without rebuilding.
 func runSelfcheck(cfg store.Config, demo int, opts flowd.ServerOptions) error {
 	// A 1ms slow threshold guarantees the cold-build query below lands in
 	// the slow log; errors-only logging keeps the marker output stable.
@@ -334,16 +350,18 @@ func runSelfcheck(cfg store.Config, demo int, opts flowd.ServerOptions) error {
 		return fmt.Errorf("out-of-range batch entry did not error")
 	}
 
-	stats, err := c.Stats(ctx)
+	m, err := scrapeMetrics(ctx, c)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("statsz: graphs=%d resident=%d bytes=%d hits=%d misses=%d builds=%d\n",
-		stats.Store.Graphs, stats.Store.Resident, stats.Store.Bytes,
-		stats.Store.Hits, stats.Store.Misses, stats.Store.Builds)
+	fmt.Printf("store: graphs=%.0f resident=%.0f bytes=%.0f hits=%.0f misses=%.0f builds=%.0f\n",
+		m["flowd_graphs"], m["flowd_resident_graphs"], m["flowd_store_bytes"],
+		m["store_hits_total"], m["store_misses_total"], m["store_builds_total"])
 	for _, op := range flowd.Ops {
-		if f, ok := stats.Families[op]; ok {
-			fmt.Printf("family %-10s count=%d errors=%d rounds=%d\n", op, f.Count, f.Errors, f.Rounds)
+		fam := fmt.Sprintf("{family=%q}", op)
+		if n := m["flowd_queries_total"+fam]; n > 0 {
+			fmt.Printf("family %-10s count=%.0f errors=%.0f rounds=%.0f\n", op, n,
+				m["flowd_query_errors_total"+fam], m["flowd_query_rounds_total"+fam])
 		}
 	}
 
@@ -417,18 +435,7 @@ func runSelfcheck(cfg store.Config, demo int, opts flowd.ServerOptions) error {
 	// query burst, both transports must have per-family latency series,
 	// and a cold-build query must land in /tracez's slow log with its
 	// build phase attributed.
-	scrape := func() (map[string]float64, error) {
-		raw, err := c.Metricsz(ctx)
-		if err != nil {
-			return nil, err
-		}
-		series, err := obs.ParseExposition(raw)
-		if err != nil {
-			return nil, fmt.Errorf("metricsz: %w", err)
-		}
-		return series, nil
-	}
-	m1, err := scrape()
+	m1, err := scrapeMetrics(ctx, c)
 	if err != nil {
 		return err
 	}
@@ -448,7 +455,7 @@ func runSelfcheck(cfg store.Config, demo int, opts flowd.ServerOptions) error {
 	if _, err := c.Query(ctx, flowd.QueryRequest{Graph: "coldcheck", Op: "dist", U: 0, V: regCold.N - 1}); err != nil {
 		return err
 	}
-	m2, err := scrape()
+	m2, err := scrapeMetrics(ctx, c)
 	if err != nil {
 		return err
 	}
@@ -553,15 +560,15 @@ func runSelfcheck(cfg store.Config, demo int, opts flowd.ServerOptions) error {
 			return fmt.Errorf("restored %s was not served from the restored bundle", q.Op)
 		}
 	}
-	stats2, err := c2.Stats(ctx)
+	m3, err := scrapeMetrics(ctx, c2)
 	if err != nil {
 		return err
 	}
-	if stats2.Store.SnapshotRestores < 1 {
-		return fmt.Errorf("restart: snapshot_restores = %d, want >= 1", stats2.Store.SnapshotRestores)
+	if n := m3["store_snapshot_restores_total"]; n < 1 {
+		return fmt.Errorf("restart: store_snapshot_restores_total = %.0f, want >= 1", n)
 	}
-	if stats2.Store.Builds > 0 {
-		return fmt.Errorf("restart: %d substrates rebuilt despite restore", stats2.Store.Builds)
+	if n := m3["store_builds_total"]; n > 0 {
+		return fmt.Errorf("restart: %.0f substrates rebuilt despite restore", n)
 	}
 	fmt.Printf("restart: warm-restored %d+1 graph(s), all %d families bit-identical, 0 rebuilds\n",
 		restored, len(checks))

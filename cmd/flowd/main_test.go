@@ -13,7 +13,7 @@ func TestSelfcheckSmoke(t *testing.T) {
 		"registered grid n=36",
 		"dist=",
 		"maxflow=",
-		"statsz: graphs=1",
+		"store: graphs=1",
 		"flowd selfcheck: ok",
 	)
 }

@@ -21,8 +21,9 @@
 //	                    ring and the fleet client's own (?family= ?graph=
 //	                    ?min_ms= filter spans; ?slow=1 keeps traces over
 //	                    -fleet-slow-ms)
-//	GET  /statsz        fleet-aggregated store stats + merged latency quantiles
-//	GET  /metricsz      merged Prometheus exposition across every replica
+//	GET  /metricsz      merged Prometheus exposition across every replica: the
+//	                    fleet's one stats surface (counters and gauges sum,
+//	                    histograms merge bucket-wise)
 //	GET  /healthz       fleet liveness (alive replicas / total)
 //
 // Replication: every -sync-interval the fleet client re-runs standby
@@ -43,7 +44,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"syscall"
 	"time"
 
@@ -103,7 +103,7 @@ func main() {
 	}
 	defer fc.Close()
 
-	front := &front{fc: fc, reps: reps, start: time.Now(), slowMS: *fleetSlowMS}
+	front := &front{fc: fc, reps: reps, slowMS: *fleetSlowMS}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flowdfleet:", err)
@@ -160,7 +160,6 @@ func main() {
 type front struct {
 	fc     *fleet.Client
 	reps   []*fleet.Replica
-	start  time.Time
 	slowMS float64
 }
 
@@ -171,7 +170,6 @@ func (f *front) mux() *http.ServeMux {
 	mux.HandleFunc("POST /v1/batch", f.handleBatch)
 	mux.HandleFunc("GET /fleetz", f.handleFleetz)
 	mux.HandleFunc("GET /fleettracez", f.handleFleetTracez)
-	mux.HandleFunc("GET /statsz", f.handleStatsz)
 	mux.HandleFunc("GET /metricsz", f.handleMetricsz)
 	mux.HandleFunc("GET /healthz", f.handleHealthz)
 	return mux
@@ -326,61 +324,6 @@ func (f *front) handleFleetTracez(w http.ResponseWriter, r *http.Request) {
 		traces = kept
 	}
 	writeJSON(w, http.StatusOK, fleetTraceResponse{SlowThresholdMS: f.slowMS, Traces: traces})
-}
-
-// fleetStatsResponse is the aggregated /statsz: summed store counters,
-// the per-replica breakdown, and fleet-wide latency quantiles computed
-// from merged histogram snapshots (not averaged per-replica quantiles).
-type fleetStatsResponse struct {
-	Store      store.Stats                  `json:"store"`
-	HitRate    float64                      `json:"hit_rate"`
-	UptimeMS   float64                      `json:"uptime_ms"`
-	PerReplica map[string]store.Stats       `json:"per_replica"`
-	Latency    map[string]flowd.HistSummary `json:"latency,omitempty"`
-}
-
-func (f *front) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	resp := fleetStatsResponse{
-		UptimeMS:   float64(time.Since(f.start).Microseconds()) / 1000,
-		PerReplica: make(map[string]store.Stats, len(f.reps)),
-	}
-	merged := map[string]obs.Snapshot{}
-	for _, rep := range f.reps {
-		st := rep.Store.Snapshot()
-		st.PerGraph = nil // the fleet view aggregates; per-graph stays on the replica's own /statsz
-		resp.PerReplica[rep.Name] = st
-		resp.Store.Graphs += st.Graphs
-		resp.Store.Resident += st.Resident
-		resp.Store.Bytes += st.Bytes
-		resp.Store.MaxBytes += st.MaxBytes
-		resp.Store.Hits += st.Hits
-		resp.Store.Misses += st.Misses
-		resp.Store.Builds += st.Builds
-		resp.Store.Evictions += st.Evictions
-		resp.Store.BuildRounds += st.BuildRounds
-		resp.Store.SnapshotRestores += st.SnapshotRestores
-		resp.Store.SnapshotWrites += st.SnapshotWrites
-		resp.Store.SnapshotErrors += st.SnapshotErrors
-		resp.Store.PeerRestores += st.PeerRestores
-		for key, snap := range rep.Srv.LatencySnapshots() {
-			m := merged[key]
-			m.Merge(snap)
-			merged[key] = m
-		}
-	}
-	resp.HitRate = resp.Store.HitRate()
-	if len(merged) > 0 {
-		resp.Latency = make(map[string]flowd.HistSummary, len(merged))
-		keys := make([]string, 0, len(merged))
-		for k := range merged {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			resp.Latency[k] = flowd.SummarizeLatency(merged[k])
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (f *front) handleMetricsz(w http.ResponseWriter, r *http.Request) {

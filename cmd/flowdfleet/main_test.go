@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,9 +10,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"planarflow/internal/fleet"
+	"planarflow/internal/flowd"
 	"planarflow/internal/obs"
 	"planarflow/internal/store"
 )
@@ -41,7 +42,7 @@ func startFront(t *testing.T, n int) (*front, *httptest.Server) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fc.Close() })
-	f := &front{fc: fc, reps: reps, start: time.Now(), slowMS: 250}
+	f := &front{fc: fc, reps: reps, slowMS: 250}
 	srv := httptest.NewServer(f.mux())
 	t.Cleanup(srv.Close)
 	return f, srv
@@ -175,5 +176,67 @@ func TestFleetzJournal(t *testing.T) {
 	}
 	if fz.Journal[0].Seq == 0 || fz.Journal[0].UnixMS == 0 {
 		t.Fatalf("journal event missing stamps: %+v", fz.Journal[0])
+	}
+}
+
+// TestFrontMetricszMergesStoreCounters: the front's /metricsz is the
+// fleet's stats surface, so each replica's store counters must reach the
+// merge, summed across replicas.
+func TestFrontMetricszMergesStoreCounters(t *testing.T) {
+	f, srv := startFront(t, 2)
+	ctx := context.Background()
+	for i := 0; i < 4; i++ {
+		id := fmt.Sprintf("g%d", i)
+		if err := f.fc.Register(ctx, id, store.GraphSpec{Kind: "grid", Rows: 5, Cols: 5, Seed: int64(i + 1), WLo: 1, WHi: 9, CLo: 1, CHi: 9}); err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 2; j++ {
+			if _, err := f.fc.Query(ctx, flowd.QueryRequest{Graph: id, Op: "dist", U: 0, V: 24}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	owner, _ := f.fc.Owner("g0")
+	for _, r := range f.reps {
+		if r.Name == owner {
+			r.Store.EvictAll()
+		}
+	}
+	if _, err := f.fc.Query(ctx, flowd.QueryRequest{Graph: "g0", Op: "dist", U: 0, V: 24}); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := http.Get(srv.URL + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(r.Body)
+	r.Body.Close()
+	series, err := obs.ParseExposition(body)
+	if err != nil {
+		t.Fatalf("front /metricsz: %v", err)
+	}
+	var want store.Stats
+	for _, rep := range f.reps {
+		st := rep.Store.Snapshot()
+		want.Hits += st.Hits
+		want.Misses += st.Misses
+		want.Evictions += st.Evictions
+	}
+	if want.Evictions == 0 || want.Hits == 0 || want.Misses == 0 {
+		t.Fatalf("script drove no hits, misses or evictions: %+v", want)
+	}
+	for name, v := range map[string]int64{
+		"store_hits_total":      want.Hits,
+		"store_misses_total":    want.Misses,
+		"store_evictions_total": want.Evictions,
+	} {
+		got, ok := series[name]
+		if !ok {
+			t.Fatalf("%s missing from the fleet merge", name)
+		}
+		if got != float64(v) {
+			t.Errorf("%s = %g, want %d (sum over replicas)", name, got, v)
+		}
 	}
 }

@@ -17,11 +17,12 @@ import (
 )
 
 // Options tunes the fleet client's routing and failure handling. The
-// zero value is usable: DefaultVnodes, one standby per graph, 10ms–500ms
-// capped exponential backoff, 250ms health probes.
+// zero value is usable: one standby per graph, 10ms–500ms capped
+// exponential backoff, 250ms health probes. The ring places each member
+// at DefaultVnodes points, a request makes at most one attempt per
+// member plus one, and the span rings and ops journal take the obs
+// defaults.
 type Options struct {
-	// Vnodes per member on the ring (<= 0 = DefaultVnodes).
-	Vnodes int
 	// Replication is how many standby replicas each graph keeps beyond
 	// its owner — SyncStandby registers the graph and ships its snapshot
 	// to this many ring successors (<= 0 = 1; capped at fleet size - 1).
@@ -30,10 +31,6 @@ type Options struct {
 	// replica failure (0 = 10ms / 500ms).
 	BackoffBase time.Duration
 	BackoffCap  time.Duration
-	// MaxAttempts is the routing retry budget per request: each attempt
-	// may eject a dead replica and re-route to its successor
-	// (<= 0 = one attempt per member + 1).
-	MaxAttempts int
 	// ProbeInterval paces the health probe that watches an ejected
 	// replica for recovery (0 = 250ms; < 0 disables probing — dead
 	// replicas stay dead until SetAlive).
@@ -46,21 +43,10 @@ type Options struct {
 	// Seed fixes the backoff jitter stream (0 = 1; the fleet client is
 	// deterministic given the seed, which the benchmarks rely on).
 	Seed int64
-	// TraceRing sizes the client's own span rings (0 = obs default).
-	// Every routed call roots a trace here; replicas continue it.
-	TraceRing int
-	// SlowThreshold flags routed calls at least this slow for the
-	// client's slow ring (0 = obs default).
-	SlowThreshold time.Duration
-	// JournalSize bounds the ops event journal (0 = obs default).
-	JournalSize int
 }
 
 func (o *Options) withDefaults(members int) Options {
 	out := *o
-	if out.Vnodes <= 0 {
-		out.Vnodes = DefaultVnodes
-	}
 	if out.Replication <= 0 {
 		out.Replication = 1
 	}
@@ -72,9 +58,6 @@ func (o *Options) withDefaults(members int) Options {
 	}
 	if out.BackoffCap <= 0 {
 		out.BackoffCap = 500 * time.Millisecond
-	}
-	if out.MaxAttempts <= 0 {
-		out.MaxAttempts = members + 1
 	}
 	if out.ProbeInterval == 0 {
 		out.ProbeInterval = 250 * time.Millisecond
@@ -162,7 +145,7 @@ func New(members []Member, opt Options) (*Client, error) {
 		names[i] = m.Name
 	}
 	o := opt.withDefaults(len(members))
-	ring, err := NewRing(names, o.Vnodes)
+	ring, err := NewRing(names, DefaultVnodes)
 	if err != nil {
 		return nil, err
 	}
@@ -174,8 +157,8 @@ func New(members []Member, opt Options) (*Client, error) {
 		specs:    map[string]store.GraphSpec{},
 		syncedAt: map[string]uint64{},
 		rng:      rand.New(rand.NewSource(o.Seed)),
-		tracer:   obs.NewTracer(o.TraceRing, o.SlowThreshold),
-		journal:  obs.NewJournal(o.JournalSize),
+		tracer:   obs.NewTracer(0, 0),
+		journal:  obs.NewJournal(0),
 		stop:     make(chan struct{}),
 	}
 	for _, m := range members {
@@ -347,13 +330,14 @@ func (c *Client) withOwner(ctx context.Context, graph, family string, call func(
 	root := c.rootSpan(ctx, family, graph)
 	defer func() { c.finishSpan(root, err) }()
 	adopted := false
-	for attempt := 0; attempt < c.opt.MaxAttempts; attempt++ {
+	// One attempt per member plus one: each failed attempt may eject a
+	// dead replica and re-route to its successor.
+	for attempt := 0; attempt <= len(c.order); attempt++ {
 		owner, ok := c.ring.Owner(graph)
 		if !ok {
 			err = ErrNoReplicas
 			return nil, err
 		}
-		root.Annotate("route", owner)
 		ms := c.members[owner]
 
 		attFam := "attempt"
@@ -362,7 +346,6 @@ func (c *Client) withOwner(ctx context.Context, graph, family string, call func(
 		}
 		att := c.childSpan(root, attFam, graph)
 		att.Annotate("member", owner)
-		att.Annotate("attempt", strconv.Itoa(attempt))
 		cctx := obs.ContextWithTrace(ctx, att.Propagate())
 		var cerr error
 		v, cerr = call(cctx, ms)

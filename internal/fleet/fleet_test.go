@@ -228,7 +228,6 @@ func TestFleetAllDead(t *testing.T) {
 		ProbeInterval: -1,
 		BackoffBase:   time.Millisecond,
 		BackoffCap:    2 * time.Millisecond,
-		MaxAttempts:   3,
 	})
 	ctx := context.Background()
 	if err := c.Register(ctx, "g", testSpec(1)); err != nil {

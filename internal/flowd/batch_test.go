@@ -146,7 +146,8 @@ func TestRegisterWarmMovesColdStart(t *testing.T) {
 	}
 }
 
-// TestStatszFamilies asserts the per-family traffic counters: counts,
+// TestStatszFamilies asserts the per-family traffic counters on
+// /metricsz (the series that replaced /statsz's families block): counts,
 // errors and rounds per op, across singleton and batch traffic.
 func TestStatszFamilies(t *testing.T) {
 	c, _ := newTestDaemon(t, store.Config{})
@@ -172,22 +173,19 @@ func TestStatszFamilies(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stats, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	m := scrape(t, c)
+	fam := func(op string) (count, errs, rounds float64) {
+		l := `{family="` + op + `"}`
+		return m["flowd_queries_total"+l], m["flowd_query_errors_total"+l], m["flowd_query_rounds_total"+l]
 	}
-	fam := stats.Families
-	if fam == nil {
-		t.Fatal("statsz has no families section")
+	if n, e, _ := fam("dist"); n != 4 || e != 0 {
+		t.Fatalf("dist counters count=%g errors=%g, want count=4 errors=0", n, e)
 	}
-	if f := fam["dist"]; f.Count != 4 || f.Errors != 0 {
-		t.Fatalf("dist counters %+v, want count=4 errors=0", f)
+	if n, e, r := fam("maxflow"); n != 2 || e != 1 || r == 0 {
+		t.Fatalf("maxflow counters count=%g errors=%g rounds=%g, want count=2 errors=1 rounds>0", n, e, r)
 	}
-	if f := fam["maxflow"]; f.Count != 2 || f.Errors != 1 || f.Rounds == 0 {
-		t.Fatalf("maxflow counters %+v, want count=2 errors=1 rounds>0", f)
-	}
-	if f := fam["girth"]; f.Count != 1 || f.Rounds == 0 {
-		t.Fatalf("girth counters %+v, want count=1 rounds>0", f)
+	if n, _, r := fam("girth"); n != 1 || r == 0 {
+		t.Fatalf("girth counters count=%g rounds=%g, want count=1 rounds>0", n, r)
 	}
 }
 

@@ -118,7 +118,7 @@ func (c *Client) WithHTTPClient(hc *http.Client) *Client {
 
 // WithWireTransport routes Query and QueryBatch over the binary wire
 // transport while every control-plane method (Register, Graphs,
-// Snapshot, Stats, Health) stays on HTTP. Answers are identical either
+// Snapshot, Metricsz, Health) stays on HTTP. Answers are identical either
 // way — the wire plane shares the daemon's decoders and execution (the
 // differential tests pin byte-identity) — only the transport cost
 // changes. The caller owns wc's lifecycle (Close it when done).
@@ -229,15 +229,6 @@ func (c *Client) QueryBatch(ctx context.Context, req BatchRequest) (*BatchRespon
 func (c *Client) Snapshot(ctx context.Context, graph string) (*SnapshotResponse, error) {
 	var out SnapshotResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/snapshot", SnapshotRequest{Graph: graph}, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Stats scrapes /statsz.
-func (c *Client) Stats(ctx context.Context) (*StatsResponse, error) {
-	var out StatsResponse
-	if err := c.do(ctx, http.MethodGet, "/statsz", nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -2,8 +2,9 @@
 // HTTP/JSON surface that registers (generates) graphs and serves the
 // paper's query families — distances, dual SSSP, max flow / min cut,
 // girth — from the prepared-substrate cache, with per-request
-// cancellation plumbed down to substrate-build checkpoints and the
-// store's hit/miss/build/evict accounting exported on /statsz.
+// cancellation plumbed down to substrate-build checkpoints and every
+// counter (store hit/miss/build/evict accounting, per-family traffic,
+// transport) exported on /metricsz.
 //
 // Endpoints:
 //
@@ -13,7 +14,9 @@
 //	POST /v1/query    QueryRequest                 run one query
 //	POST /v1/batch    BatchRequest                 run a batch under one bundle pin
 //	POST /v1/snapshot SnapshotRequest              persist resident bundles to the disk tier
-//	GET  /statsz                                   store metrics snapshot + per-family counters
+//	GET  /metricsz                                 Prometheus text: every daemon counter and histogram
+//	GET  /tracez                                   recent + slow request spans
+//	GET  /versionz                                 build and runtime info
 //	GET  /healthz                                  liveness
 //
 // Requests decode straight onto the library's query plane: a QueryRequest
@@ -160,37 +163,6 @@ type SnapshotResponse struct {
 	Written int `json:"written"`
 }
 
-// FamilyStats is the per-query-family traffic counter exported on
-// /statsz: how many queries of the family ran, how many errored, and the
-// total simulated rounds they reported (build + query) — enough to see
-// the traffic mix and where the round budget goes.
-type FamilyStats struct {
-	Count  int64 `json:"count"`
-	Errors int64 `json:"errors"`
-	Rounds int64 `json:"rounds"`
-}
-
-// StatsResponse is the /statsz payload.
-type StatsResponse struct {
-	Store    store.Stats            `json:"store"`
-	HitRate  float64                `json:"hit_rate"`
-	UptimeMS float64                `json:"uptime_ms"`
-	Families map[string]FamilyStats `json:"families,omitempty"`
-	// WriteErrors counts HTTP responses whose JSON encoding failed midway
-	// (a client that hung up while the body was streaming): the response
-	// on the wire was truncated, and this is where that becomes visible.
-	WriteErrors int64 `json:"write_errors"`
-	// Transport is the binary wire plane's counters (connections, frames,
-	// bytes, write coalescing, batch folding), present once the daemon has
-	// a wire listener attached. The fleet work reads these to see whether
-	// replicas are wire-bound or engine-bound.
-	Transport *wire.Stats `json:"transport,omitempty"`
-	// Latency digests the end-to-end latency histograms per
-	// "transport/family" (count, mean, p50/p90/p99, max) — the same
-	// histograms /metricsz exposes in full.
-	Latency map[string]HistSummary `json:"latency,omitempty"`
-}
-
 // errorResponse is the uniform error body.
 type errorResponse struct {
 	Error string `json:"error"`
@@ -246,13 +218,6 @@ type Server struct {
 	mux   *http.ServeMux
 	start time.Time
 
-	famMu sync.Mutex
-	fam   map[string]*FamilyStats
-
-	// writeErrs counts writeJSON encode failures (half-written HTTP
-	// responses), exported on /statsz.
-	writeErrs atomic.Int64
-
 	wireMu  sync.Mutex
 	wireSrv *wire.Server
 
@@ -263,13 +228,16 @@ type Server struct {
 
 	// Telemetry plane (initObs): structured logger, span tracer, request
 	// id sequence for the HTTP plane (wire requests key by frame id), the
-	// prebuilt (transport, family) metric grid and per-phase histograms.
+	// prebuilt (transport, family) metric grid, per-op query counters,
+	// per-phase histograms, and the count of half-written HTTP responses.
 	log       *slog.Logger
 	tracer    *obs.Tracer
 	reg       *obs.Registry
 	reqSeq    atomic.Uint64
 	fmGrid    map[famKey]*famMetrics
+	opCtr     map[string]*opCounters
 	phaseHist [obs.NumPhases]*obs.Histogram
+	writeErrs *obs.Counter
 }
 
 // NewServer wraps st in the daemon's HTTP surface with default
@@ -278,7 +246,7 @@ func NewServer(st *store.Store) *Server { return NewServerWith(st, ServerOptions
 
 // NewServerWith wraps st with explicit telemetry options.
 func NewServerWith(st *store.Store, opt ServerOptions) *Server {
-	s := &Server{st: st, mux: http.NewServeMux(), start: time.Now(), fam: map[string]*FamilyStats{}}
+	s := &Server{st: st, mux: http.NewServeMux(), start: time.Now()}
 	s.initObs(opt)
 	s.mux.HandleFunc("POST /v1/graphs", s.handleRegister)
 	s.mux.HandleFunc("GET /v1/graphs", s.handleList)
@@ -288,43 +256,11 @@ func NewServerWith(st *store.Store, opt ServerOptions) *Server {
 	s.mux.HandleFunc("GET /v1/snapshot/{graph}", s.handleFetchSnapshot)
 	s.mux.HandleFunc("POST /v1/restore", s.handleRestore)
 	s.mux.HandleFunc("POST /v1/warm", s.handleWarm)
-	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
 	s.mux.HandleFunc("GET /metricsz", s.handleMetricsz)
 	s.mux.HandleFunc("GET /tracez", s.handleTracez)
 	s.mux.HandleFunc("GET /versionz", s.handleVersionz)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return s
-}
-
-// recordFamily bumps the op's traffic counters: one query executed, its
-// reported rounds, and whether it errored.
-func (s *Server) recordFamily(op string, rounds int64, errored bool) {
-	s.famMu.Lock()
-	defer s.famMu.Unlock()
-	f := s.fam[op]
-	if f == nil {
-		f = &FamilyStats{}
-		s.fam[op] = f
-	}
-	f.Count++
-	f.Rounds += rounds
-	if errored {
-		f.Errors++
-	}
-}
-
-// familySnapshot copies the per-family counters for /statsz.
-func (s *Server) familySnapshot() map[string]FamilyStats {
-	s.famMu.Lock()
-	defer s.famMu.Unlock()
-	if len(s.fam) == 0 {
-		return nil
-	}
-	out := make(map[string]FamilyStats, len(s.fam))
-	for op, f := range s.fam {
-		out[op] = *f
-	}
-	return out
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -336,13 +272,13 @@ func (s *Server) Store() *store.Store { return s.st }
 // writeJSON writes one JSON response. An Encode failure here means the
 // response left half-written (the status line is already gone, so the
 // client sees a truncated body, not an error) — it cannot be repaired,
-// but it must not be silent either: the daemon counts it and /statsz
-// exposes the count as write_errors.
+// but it must not be silent either: the daemon counts it as
+// flowd_write_errors_total.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.writeErrs.Add(1)
+		s.writeErrs.Inc()
 		s.log.Warn("response write failed", "status", status, "err", err.Error())
 	}
 }
@@ -461,19 +397,6 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, s.st.Snapshot().PerGraph)
 }
 
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	snap := s.st.Snapshot()
-	s.writeJSON(w, http.StatusOK, StatsResponse{
-		Store:       snap,
-		HitRate:     snap.HitRate(),
-		UptimeMS:    float64(time.Since(s.start).Microseconds()) / 1000,
-		Families:    s.familySnapshot(),
-		WriteErrors: s.writeErrs.Load(),
-		Transport:   s.wireStats(),
-		Latency:     s.latencySnapshot(),
-	})
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sp, ctx := s.beginSpan(r.Context(), "http", httpTrace(r))
 	sp.Family = decodeFamily
@@ -532,7 +455,7 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest) (*QueryRespons
 	if a != nil {
 		rounds = a.Rounds.Total
 	}
-	s.recordFamily(req.Op, rounds, err != nil)
+	s.countQuery(req.Op, rounds, err != nil)
 	if err != nil {
 		return nil, err
 	}

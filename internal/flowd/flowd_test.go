@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"planarflow"
+	"planarflow/internal/obs"
 	"planarflow/internal/store"
 )
 
@@ -15,9 +16,24 @@ import (
 func newTestDaemon(t *testing.T, cfg store.Config) (*Client, *store.Store) {
 	t.Helper()
 	st := store.New(cfg)
-	srv := httptest.NewServer(NewServer(st))
+	srv := httptest.NewServer(NewServerWith(st, ServerOptions{Registry: obs.NewRegistry()}))
 	t.Cleanup(srv.Close)
 	return NewClient(srv.URL).WithHTTPClient(srv.Client()), st
+}
+
+// scrape reads the daemon's /metricsz through the strict exposition
+// parser as series → value.
+func scrape(t *testing.T, c *Client) map[string]float64 {
+	t.Helper()
+	raw, err := c.Metricsz(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := obs.ParseExposition(raw)
+	if err != nil {
+		t.Fatalf("metricsz: %v", err)
+	}
+	return m
 }
 
 func TestRegisterAndQueryEndToEnd(t *testing.T) {
@@ -90,12 +106,10 @@ func TestRegisterAndQueryEndToEnd(t *testing.T) {
 		t.Fatalf("dualsssp returned %d faces, want %d", len(qr3.Dist), g.NumFaces())
 	}
 
-	st, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Store.Graphs != 1 || st.Store.Hits+st.Store.Misses != 3 {
-		t.Fatalf("statsz: %+v", st.Store)
+	m := scrape(t, c)
+	if m["flowd_graphs"] != 1 || m["store_hits_total"]+m["store_misses_total"] != 3 {
+		t.Fatalf("metricsz: graphs=%g hits=%g misses=%g, want 1 graph and 3 lookups",
+			m["flowd_graphs"], m["store_hits_total"], m["store_misses_total"])
 	}
 	gs, err := c.Graphs(ctx)
 	if err != nil {
@@ -172,6 +186,9 @@ func TestConcurrentClientsShareBuilds(t *testing.T) {
 	}
 }
 
+// TestEvictionVisibleOnStatsz: serving two graphs under a one-bundle
+// budget evicts, and /metricsz (which replaced /statsz) shows both the
+// evictions and a resting footprint within the budget.
 func TestEvictionVisibleOnStatsz(t *testing.T) {
 	// Measure one bundle, then budget for ~1.5 bundles and register two
 	// graphs: serving both must evict.
@@ -205,15 +222,12 @@ func TestEvictionVisibleOnStatsz(t *testing.T) {
 			}
 		}
 	}
-	st, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	m := scrape(t, c)
+	if m["store_evictions_total"] == 0 {
+		t.Fatal("no evictions under a one-bundle budget")
 	}
-	if st.Store.Evictions == 0 {
-		t.Fatalf("no evictions under a one-bundle budget: %+v", st.Store)
-	}
-	if st.Store.Bytes > st.Store.MaxBytes {
-		t.Fatalf("resting bytes %d over budget %d", st.Store.Bytes, st.Store.MaxBytes)
+	if m["flowd_store_bytes"] > m["flowd_store_max_bytes"] {
+		t.Fatalf("resting bytes %g over budget %g", m["flowd_store_bytes"], m["flowd_store_max_bytes"])
 	}
 }
 

@@ -28,8 +28,8 @@ import (
 )
 
 // ServerOptions tunes the daemon's telemetry; the zero value gives
-// always-on defaults (warn-level logging to stderr, 128-span rings,
-// 250ms slow threshold).
+// always-on defaults (warn-level logging to stderr, 250ms slow
+// threshold; the span rings hold obs.DefaultTraceRing spans).
 type ServerOptions struct {
 	// Logger receives structured request/error lines. nil means a
 	// text handler on stderr at LevelWarn — errors and slow queries are
@@ -38,9 +38,6 @@ type ServerOptions struct {
 	// SlowThreshold flags requests at least this slow for the slow-query
 	// log (0 = obs.DefaultSlowThreshold).
 	SlowThreshold time.Duration
-	// TraceRing sizes the recent- and slow-span rings
-	// (0 = obs.DefaultTraceRing).
-	TraceRing int
 	// Registry is the metric registry this server records into and its
 	// /metricsz serves. nil means obs.Default() — the right choice for one
 	// daemon per process. A fleet of in-process replicas gives each its
@@ -57,6 +54,13 @@ type famMetrics struct {
 	errs *obs.Counter
 }
 
+// opCounters is one op's traffic counters: queries executed (batch
+// entries count under their own op), how many errored, and the
+// simulated rounds they reported (build + query).
+type opCounters struct {
+	count, errs, rounds *obs.Counter
+}
+
 // famKey addresses one grid cell. A struct key (rather than a joined
 // string) keeps the per-request lookup allocation-free.
 type famKey struct {
@@ -68,22 +72,24 @@ type famKey struct {
 const decodeFamily = "_decode"
 
 // batchFamily is the family of /v1/batch requests at the handler level
-// (per-entry ops keep their own statsz family counters).
+// (per-entry ops count under their own op in flowd_queries_total).
 const batchFamily = "batch"
 
 // transports the daemon serves on.
 var transports = []string{"http", "wire"}
 
-// initObs builds the per-(transport, family) metric grid, the phase
-// histograms, the tracer, and the daemon gauges. Metric handles come
-// from the process registry via get-or-create, so several servers in
-// one process (tests, benches) share series.
+// initObs builds the per-(transport, family) metric grid, the per-op
+// query counters, the phase histograms, the tracer, and the daemon and
+// store series. Metric handles come from the server's registry via
+// get-or-create, so several servers on one registry (obs.Default(), the
+// nil-Registry default) share counters, and the scrape-time series
+// (store counters, gauges) follow the server constructed last.
 func (s *Server) initObs(opt ServerOptions) {
 	s.log = opt.Logger
 	if s.log == nil {
 		s.log = slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn}))
 	}
-	s.tracer = obs.NewTracer(opt.TraceRing, opt.SlowThreshold)
+	s.tracer = obs.NewTracer(0, opt.SlowThreshold)
 
 	s.reg = opt.Registry
 	if s.reg == nil {
@@ -107,6 +113,19 @@ func (s *Server) initObs(opt ServerOptions) {
 			}
 		}
 	}
+	s.opCtr = make(map[string]*opCounters, len(Ops))
+	for _, op := range Ops {
+		s.opCtr[op] = &opCounters{
+			count: r.Counter("flowd_queries_total",
+				"Queries executed by op, singleton and batch entries alike.", obs.L("family", op)),
+			errs: r.Counter("flowd_query_errors_total",
+				"Queries that failed, by op.", obs.L("family", op)),
+			rounds: r.Counter("flowd_query_rounds_total",
+				"Simulated rounds (build + query) reported by successful queries, by op.", obs.L("family", op)),
+		}
+	}
+	s.writeErrs = r.Counter("flowd_write_errors_total",
+		"HTTP responses whose body failed midway (the client saw a truncated body).")
 	for p := obs.Phase(0); p < obs.NumPhases; p++ {
 		s.phaseHist[p] = r.Histogram("flowd_phase_seconds",
 			"Per-request phase wall time (decode, acquire, build, exec, encode, write).",
@@ -117,23 +136,40 @@ func (s *Server) initObs(opt ServerOptions) {
 		"Finished spans overwritten by a tracer ring wrap.", tr.Dropped)
 
 	st := s.st
+	st.RegisterObs(r)
 	r.Gauge("flowd_graphs", "Registered graphs.", func() float64 {
-		g, _, _ := st.Counts()
-		return float64(g)
+		return float64(st.Totals().Graphs)
 	})
 	r.Gauge("flowd_resident_graphs", "Graphs with a resident artifact bundle.", func() float64 {
-		_, res, _ := st.Counts()
-		return float64(res)
+		return float64(st.Totals().Resident)
 	})
 	r.Gauge("flowd_store_bytes", "Accounted footprint of resident bundles.", func() float64 {
-		_, _, b := st.Counts()
-		return float64(b)
+		return float64(st.Totals().Bytes)
+	})
+	r.Gauge("flowd_store_max_bytes", "Artifact memory budget (0 = unlimited).", func() float64 {
+		return float64(st.Totals().MaxBytes)
 	})
 	start := s.start
 	r.Gauge("flowd_uptime_seconds", "Daemon uptime.", func() float64 {
 		return time.Since(start).Seconds()
 	})
 	obs.RegisterRuntimeGauges(r)
+}
+
+// countQuery bumps the op's traffic counters: one query executed, its
+// reported rounds, and whether it errored. The decoders reject ops
+// outside Ops, so the nil check only guards against a future decoder
+// that forgets to.
+func (s *Server) countQuery(op string, rounds int64, errored bool) {
+	c := s.opCtr[op]
+	if c == nil {
+		return
+	}
+	c.count.Inc()
+	c.rounds.Add(rounds)
+	if errored {
+		c.errs.Inc()
+	}
 }
 
 // beginSpan opens the span for one request and hands back the context
@@ -240,7 +276,7 @@ type HealthResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	snap := s.st.Snapshot()
+	snap := s.st.Totals()
 	s.writeJSON(w, http.StatusOK, HealthResponse{
 		Status: "ok", Graphs: snap.Graphs, Resident: snap.Resident,
 		WarmRestores: snap.SnapshotRestores,
@@ -251,7 +287,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.reg.WritePrometheus(w); err != nil {
-		s.writeErrs.Add(1)
+		s.writeErrs.Inc()
 		s.log.Warn("metricsz write failed", "err", err.Error())
 	}
 }
@@ -341,67 +377,6 @@ func (s *Server) handleVersionz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// HistSummary is the quantile digest of one latency histogram, folded
-// into /statsz next to the counter stats.
-type HistSummary struct {
-	Count  uint64  `json:"count"`
-	MeanMS float64 `json:"mean_ms"`
-	P50MS  float64 `json:"p50_ms"`
-	P90MS  float64 `json:"p90_ms"`
-	P99MS  float64 `json:"p99_ms"`
-	MaxMS  float64 `json:"max_ms"`
-}
-
-func summarize(snap obs.Snapshot) HistSummary {
-	return HistSummary{
-		Count:  snap.Count,
-		MeanMS: durMS(snap.Mean()),
-		P50MS:  durMS(snap.Quantile(0.50)),
-		P90MS:  durMS(snap.Quantile(0.90)),
-		P99MS:  durMS(snap.Quantile(0.99)),
-		MaxMS:  float64(snap.Max) / 1e6,
-	}
-}
-
-// SummarizeLatency folds one latency snapshot into the /statsz quantile
-// digest — exported for the fleet front, which merges per-replica
-// snapshots (Snapshot.Merge) and summarizes the union.
-func SummarizeLatency(snap obs.Snapshot) HistSummary { return summarize(snap) }
-
-// latencySnapshot digests the non-empty (transport, family) histograms
-// as "transport/family" → summary.
-func (s *Server) latencySnapshot() map[string]HistSummary {
-	var out map[string]HistSummary
-	for key, m := range s.fmGrid {
-		snap := m.lat.Snapshot()
-		if snap.Count == 0 {
-			continue
-		}
-		if out == nil {
-			out = make(map[string]HistSummary)
-		}
-		out[key.transport+"/"+key.family] = summarize(snap)
-	}
-	return out
-}
-
-// LatencySnapshots exports the raw (transport, family) latency
-// histogram snapshots keyed "transport/family" — the mergeable form.
-// The fleet front merges these across replicas (obs Snapshot.Merge) and
-// summarizes the union, so fleet-wide quantiles come from merged
-// buckets, not averaged per-replica quantiles.
-func (s *Server) LatencySnapshots() map[string]obs.Snapshot {
-	out := make(map[string]obs.Snapshot, len(s.fmGrid))
-	for key, m := range s.fmGrid {
-		snap := m.lat.Snapshot()
-		if snap.Count == 0 {
-			continue
-		}
-		out[key.transport+"/"+key.family] = snap
-	}
-	return out
 }
 
 // Registry returns the metric registry this server records into.

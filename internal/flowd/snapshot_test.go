@@ -30,7 +30,7 @@ func TestSnapshotEndpointDisabled(t *testing.T) {
 // the wire: register + warm, query, snapshot, kill the daemon, boot a
 // fresh one over the same snapshot directory, warm-restore, and verify
 // the restored daemon serves identically with zero rebuilds and its
-// counters visible on /statsz.
+// counters visible on /metricsz.
 func TestSnapshotEndpointAndRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := store.Config{SpillDir: dir}
@@ -57,12 +57,8 @@ func TestSnapshotEndpointAndRestart(t *testing.T) {
 	if snap.Written != 1 {
 		t.Fatalf("written = %d, want 1", snap.Written)
 	}
-	st1, err := c1.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st1.Store.SnapshotWrites != 1 {
-		t.Fatalf("statsz snapshot_writes = %d, want 1", st1.Store.SnapshotWrites)
+	if n := scrape(t, c1)["store_snapshot_writes_total"]; n != 1 {
+		t.Fatalf("store_snapshot_writes_total = %g, want 1", n)
 	}
 
 	// "Restart": fresh store, same spill dir, same spec, warm restore.
@@ -82,19 +78,18 @@ func TestSnapshotEndpointAndRestart(t *testing.T) {
 		got.Iterations != want.Iterations || !got.Hit {
 		t.Fatalf("restored answer diverged: %+v vs %+v", got, want)
 	}
-	st2, err := c2.Stats(ctx)
+	m := scrape(t, c2)
+	if m["store_snapshot_restores_total"] != 1 || m["store_builds_total"] != 0 {
+		t.Fatalf("restored daemon: restores=%g builds=%g, want 1/0",
+			m["store_snapshot_restores_total"], m["store_builds_total"])
+	}
+	// Per-bundle last-access rides on the graph listing.
+	gs, err := c2.Graphs(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Store.SnapshotRestores != 1 || st2.Store.Builds != 0 {
-		t.Fatalf("restored daemon: restores=%d builds=%d, want 1/0",
-			st2.Store.SnapshotRestores, st2.Store.Builds)
-	}
-	// Per-bundle last-access rides on /statsz (observability satellite).
-	for _, pg := range st2.Store.PerGraph {
-		if pg.ID == "g" && pg.LastAccessUnixMS == 0 {
-			t.Fatal("last_access_unix_ms missing from /statsz")
-		}
+	if len(gs) != 1 || gs[0].ID != "g" || gs[0].LastAccessUnixMS == 0 {
+		t.Fatalf("last_access_unix_ms missing from GET /v1/graphs: %+v", gs)
 	}
 }
 
@@ -117,7 +112,8 @@ func TestSnapshotRequestStrictDecode(t *testing.T) {
 
 // TestClientHonorsContext pins the client-side cancellation satellite:
 // an in-flight request aborts promptly when its context is canceled —
-// for queries, registration, stats and snapshot alike.
+// for queries, registration, the /metricsz stats scrape and snapshot
+// alike.
 func TestClientHonorsContext(t *testing.T) {
 	release := make(chan struct{})
 	blocked := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -145,7 +141,7 @@ func TestClientHonorsContext(t *testing.T) {
 			return err
 		},
 		"stats": func(ctx context.Context) error {
-			_, err := c.Stats(ctx)
+			_, err := c.Metricsz(ctx)
 			return err
 		},
 		"snapshot": func(ctx context.Context) error {

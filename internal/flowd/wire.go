@@ -10,7 +10,7 @@ package flowd
 // persistent connections, many in-flight requests per connection
 // multiplexed by request id, and write coalescing on both directions.
 //
-// HTTP stays the control plane (register, snapshot, statsz); the wire
+// HTTP stays the control plane (register, snapshot, metricsz); the wire
 // plane carries the high-rate query traffic. WireClient is the matching
 // client: a connection pool with true pipelining and an opt-in
 // micro-coalescer that folds concurrent singleton queries into OpBatchB
@@ -82,19 +82,6 @@ func (s *Server) Wire() *wire.Server {
 		s.wireSrv.Counters().RegisterObs(s.reg, obs.L("role", "server"))
 	}
 	return s.wireSrv
-}
-
-// wireStats snapshots the wire plane's counters for /statsz, nil when
-// no wire server was ever attached.
-func (s *Server) wireStats() *wire.Stats {
-	s.wireMu.Lock()
-	srv := s.wireSrv
-	s.wireMu.Unlock()
-	if srv == nil {
-		return nil
-	}
-	st := srv.Stats()
-	return &st
 }
 
 // ServeFrame implements wire.Handler: one request frame in, one
@@ -210,18 +197,16 @@ type WireOptions struct {
 	// (execution via the store's batch plane — answers are bit-identical
 	// to the singleton route by the query plane's own differential
 	// tests). Queries keep per-call contexts: a canceled caller stops
-	// waiting while the folded frame completes for the rest.
+	// waiting while the folded frame completes for the rest. A folded
+	// frame carries at most MaxBatchQueries queries.
 	Coalesce bool
-	// CoalesceMax caps queries per folded frame (<= 0 = 64; never more
-	// than MaxBatchQueries).
-	CoalesceMax int
 }
 
 // WireClient is the Go client for the daemon's binary transport: a
 // connection pool with true pipelining — any number of concurrent
 // Query/QueryBatch calls share the pool's connections, each call
 // waiting only on its own request id. Control-plane operations
-// (register, stats, snapshot) stay on the HTTP Client; pair the two
+// (register, metrics, snapshot) stay on the HTTP Client; pair the two
 // with Client.WithWireTransport.
 type WireClient struct {
 	pool *wire.Pool
@@ -233,14 +218,7 @@ type WireClient struct {
 func NewWireClient(network, addr string, opt WireOptions) *WireClient {
 	c := &WireClient{pool: wire.NewPool(network, addr, opt.PoolSize)}
 	if opt.Coalesce {
-		max := opt.CoalesceMax
-		if max <= 0 {
-			max = 64
-		}
-		if max > MaxBatchQueries {
-			max = MaxBatchQueries
-		}
-		c.co = newCoalescer(c, max)
+		c.co = newCoalescer(c)
 		c.co.start()
 	}
 	return c
@@ -332,13 +310,12 @@ type coalResult struct {
 // frame count by the burst size.
 type coalescer struct {
 	c      *WireClient
-	max    int
 	ch     chan *coalItem
 	stopCh chan struct{}
 }
 
-func newCoalescer(c *WireClient, max int) *coalescer {
-	return &coalescer{c: c, max: max, ch: make(chan *coalItem, 4*MaxBatchQueries), stopCh: make(chan struct{})}
+func newCoalescer(c *WireClient) *coalescer {
+	return &coalescer{c: c, ch: make(chan *coalItem, 4*MaxBatchQueries), stopCh: make(chan struct{})}
 }
 
 func (co *coalescer) start() { go co.run() }
@@ -375,7 +352,7 @@ func (co *coalescer) run() {
 		}
 		batch := []*coalItem{first}
 		yielded := false
-		for len(batch) < co.max {
+		for len(batch) < MaxBatchQueries {
 			select {
 			case it := <-co.ch:
 				batch = append(batch, it)

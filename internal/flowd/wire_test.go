@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"planarflow/internal/obs"
 	"planarflow/internal/store"
 	"planarflow/internal/wire"
 )
@@ -23,7 +24,7 @@ import (
 func newWireDaemon(t *testing.T, cfg store.Config, udsDir string) (*Client, *Server, string, string) {
 	t.Helper()
 	st := store.New(cfg)
-	s := NewServer(st)
+	s := NewServerWith(st, ServerOptions{Registry: obs.NewRegistry()})
 	hsrv := httptest.NewServer(s)
 	t.Cleanup(hsrv.Close)
 
@@ -227,7 +228,7 @@ func TestCoalescerFoldsBurst(t *testing.T) {
 	}
 
 	wc := &WireClient{pool: wire.NewPool("tcp", addr, 1)}
-	wc.co = newCoalescer(wc, 64) // not started: the burst queues first
+	wc.co = newCoalescer(wc) // not started: the burst queues first
 	defer wc.Close()
 
 	const n = 16
@@ -268,8 +269,8 @@ func TestCoalescerFoldsBurst(t *testing.T) {
 		t.Errorf("coalesced_max = %d, want %d (single burst, one graph)", cst.CoalescedMax, n)
 	}
 	// The server counts the same fold from its side of the wire.
-	sst := s.wireStats()
-	if sst == nil || sst.CoalescedQueries < n {
+	sst := s.Wire().Stats()
+	if sst.CoalescedQueries < n {
 		t.Fatalf("server saw no folding: %+v", sst)
 	}
 	// The fold must not multiply frames: n queries, 1 batch frame.
@@ -278,8 +279,8 @@ func TestCoalescerFoldsBurst(t *testing.T) {
 	}
 }
 
-// TestStatszTransportCounters: /statsz (via Client.Stats) exposes the
-// wire plane's counters once traffic has flowed.
+// TestStatszTransportCounters: /metricsz exposes the wire plane's
+// server-side counters once traffic has flowed.
 func TestStatszTransportCounters(t *testing.T) {
 	hc, _, addr, _ := newWireDaemon(t, store.Config{}, "")
 	ctx := context.Background()
@@ -295,37 +296,34 @@ func TestStatszTransportCounters(t *testing.T) {
 		}
 	}
 
-	st, err := hc.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	m := scrape(t, hc)
+	tr := func(name string) float64 { return m[name+`{role="server"}`] }
+	if tr("wire_conns_total") < 1 || tr("wire_frames_in_total") < 5 || tr("wire_frames_out_total") < 5 ||
+		tr("wire_bytes_in_total") == 0 || tr("wire_bytes_out_total") == 0 {
+		t.Fatalf("transport counters: conns=%g frames in=%g out=%g bytes in=%g out=%g",
+			tr("wire_conns_total"), tr("wire_frames_in_total"), tr("wire_frames_out_total"),
+			tr("wire_bytes_in_total"), tr("wire_bytes_out_total"))
 	}
-	tr := st.Transport
-	if tr == nil {
-		t.Fatal("statsz has no transport block despite wire traffic")
+	if tr("wire_conns_open") < 1 {
+		t.Fatalf("wire_conns_open = %g with a live client", tr("wire_conns_open"))
 	}
-	if tr.ConnsTotal < 1 || tr.FramesIn < 5 || tr.FramesOut < 5 || tr.BytesIn == 0 || tr.BytesOut == 0 {
-		t.Fatalf("transport counters %+v", tr)
-	}
-	if tr.ConnsOpen < 1 {
-		t.Fatalf("conns_open = %d with a live client", tr.ConnsOpen)
-	}
-	if st.WriteErrors != 0 {
-		t.Fatalf("write_errors = %d on a healthy run", st.WriteErrors)
+	if n := m["flowd_write_errors_total"]; n != 0 {
+		t.Fatalf("flowd_write_errors_total = %g on a healthy run", n)
 	}
 }
 
 // TestWriteJSONCountsEncodeErrors: a response body that fails midway
-// through streaming (client hangup) must land in the write_errors
-// counter instead of vanishing.
+// through streaming (client hangup) must land in the
+// flowd_write_errors_total counter instead of vanishing.
 func TestWriteJSONCountsEncodeErrors(t *testing.T) {
-	s := NewServer(store.New(store.Config{}))
+	s := NewServerWith(store.New(store.Config{}), ServerOptions{Registry: obs.NewRegistry()})
 	s.writeJSON(failingWriter{}, http.StatusOK, map[string]string{"k": "v"})
-	if got := s.writeErrs.Load(); got != 1 {
+	if got := s.writeErrs.Value(); got != 1 {
 		t.Fatalf("writeErrs = %d after failed encode, want 1", got)
 	}
 	rec := httptest.NewRecorder()
 	s.writeJSON(rec, http.StatusOK, map[string]string{"k": "v"})
-	if got := s.writeErrs.Load(); got != 1 {
+	if got := s.writeErrs.Value(); got != 1 {
 		t.Fatalf("writeErrs = %d after healthy encode, want 1", got)
 	}
 	if !strings.Contains(rec.Body.String(), `"k":"v"`) {

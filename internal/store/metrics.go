@@ -14,6 +14,28 @@ var (
 		"Disk-tier snapshot restore latency (successful restores only).")
 	mSpillWrite = obs.Default().Histogram("store_spill_write_seconds",
 		"Disk-tier snapshot write latency (evictions and explicit snapshots).")
-	mEvictions = obs.Default().Counter("store_evictions_total",
-		"Resident bundles evicted under the memory budget.")
 )
+
+// RegisterObs exposes the store's aggregate counters on r as
+// store_<name>_total series, read from Totals at scrape time: the
+// serving path keeps bumping plain fields under the store lock, and
+// each event is counted exactly once. Re-registering on the same
+// registry rebinds the series to s.
+func (s *Store) RegisterObs(r *obs.Registry) {
+	for _, c := range []struct {
+		name, help string
+		get        func(Stats) int64
+	}{
+		{"hits", "Bundle acquisitions that found the bundle resident.", func(t Stats) int64 { return t.Hits }},
+		{"misses", "Bundle acquisitions that had to make the bundle resident.", func(t Stats) int64 { return t.Misses }},
+		{"builds", "Substrates built, across rebuilds after eviction.", func(t Stats) int64 { return t.Builds }},
+		{"evictions", "Resident bundles evicted under the memory budget.", func(t Stats) int64 { return t.Evictions }},
+		{"build_rounds", "Simulated rounds charged by every substrate build.", func(t Stats) int64 { return t.BuildRounds }},
+		{"snapshot_writes", "Snapshots written to the disk tier.", func(t Stats) int64 { return t.SnapshotWrites }},
+		{"snapshot_restores", "Misses and boot restores served from the disk tier.", func(t Stats) int64 { return t.SnapshotRestores }},
+		{"snapshot_errors", "Disk-tier snapshot writes or decodes that failed.", func(t Stats) int64 { return t.SnapshotErrors }},
+		{"peer_restores", "Bundles installed from peer-fetched snapshot bytes.", func(t Stats) int64 { return t.PeerRestores }},
+	} {
+		r.CounterFunc("store_"+c.name+"_total", c.help, func() int64 { return c.get(s.Totals()) })
+	}
+}

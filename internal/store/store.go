@@ -493,7 +493,6 @@ func (s *Store) dropLocked(e *entry) []spillJob {
 	e.bytes, e.substrates, e.rounds = 0, 0, 0
 	e.evictions++
 	s.evictions++
-	mEvictions.Inc()
 	if s.cfg.SpillDir == "" {
 		return nil
 	}
@@ -781,26 +780,30 @@ func (s *Store) EvictAll() {
 	s.spill(jobs)
 }
 
-// Counts returns the cheap aggregate triple — registered graphs,
-// resident bundles, accounted bytes — for gauge callbacks that must not
-// pay Snapshot's per-graph walk on every scrape.
-func (s *Store) Counts() (graphs, resident int, bytes int64) {
+// Totals returns the store-wide aggregate counters: Snapshot without the
+// per-graph walk (PerGraph is nil). Scrape-time metric callbacks and
+// health checks read this instead of paying Snapshot's sort and copy.
+func (s *Store) Totals() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.ents), s.lru.Len(), s.bytes
+	return s.totalsLocked()
 }
 
-// Snapshot returns the store-wide metrics.
-func (s *Store) Snapshot() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := Stats{
-		Graphs: len(s.ents), Bytes: s.bytes, MaxBytes: s.cfg.MaxBytes,
+func (s *Store) totalsLocked() Stats {
+	return Stats{
+		Graphs: len(s.ents), Resident: s.lru.Len(), Bytes: s.bytes, MaxBytes: s.cfg.MaxBytes,
 		Hits: s.hits, Misses: s.misses, Builds: s.builds,
 		Evictions: s.evictions, BuildRounds: s.buildRounds,
 		SnapshotWrites: s.snapWrites, SnapshotRestores: s.snapRestores,
 		SnapshotErrors: s.snapErrors, PeerRestores: s.peerRestores,
 	}
+}
+
+// Snapshot returns the store-wide metrics plus one entry per graph.
+func (s *Store) Snapshot() Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.totalsLocked()
 	ids := make([]string, 0, len(s.ents))
 	for id := range s.ents {
 		ids = append(ids, id)
@@ -808,9 +811,6 @@ func (s *Store) Snapshot() Stats {
 	sort.Strings(ids)
 	for _, id := range ids {
 		e := s.ents[id]
-		if e.pg != nil {
-			st.Resident++
-		}
 		st.PerGraph = append(st.PerGraph, GraphStats{
 			ID: id, N: e.gr.N(), M: e.gr.M(),
 			Resident: e.pg != nil, Bytes: e.bytes, Pins: e.pins,

@@ -8,8 +8,8 @@ import (
 
 // Counters is the transport's observability surface: lock-free counts
 // bumped on the hot path by servers, client pools and the flowd
-// micro-coalescer, snapshotted into Stats for /statsz. A zero Counters
-// is ready to use.
+// micro-coalescer, snapshotted into Stats and exported on a telemetry
+// registry by RegisterObs. A zero Counters is ready to use.
 type Counters struct {
 	connsOpen  atomic.Int64
 	connsTotal atomic.Int64
@@ -99,6 +99,8 @@ func (c *Counters) RegisterObs(r *obs.Registry, labels ...obs.Label) {
 	ctr("wire_flushes_total", "Writer flush syscalls (frames_out/flushes is the coalescing factor).", &c.flushes)
 	ctr("wire_coalesced_batches_total", "Multi-query batch frames formed by coalescing.", &c.coalescedBatches)
 	ctr("wire_coalesced_queries_total", "Singleton queries folded into coalesced batches.", &c.coalescedQueries)
+	r.Gauge("wire_coalesced_max", "Largest number of queries folded into one batch frame.",
+		func() float64 { return float64(c.coalescedMax.Load()) }, labels...)
 }
 
 func (c *Counters) noteFrameIn(payloadLen int) {
